@@ -1,9 +1,15 @@
 PYTHON ?= python
 
-.PHONY: test bench bench-update bench-micro profile sweep-bench sweep-smoke chaos-smoke billing-smoke fabric-smoke control-smoke
+.PHONY: test bench bench-update bench-micro profile sweep-bench sweep-smoke chaos-smoke billing-smoke fabric-smoke control-smoke perfbench-check
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
+
+# The workflow benchmark's own self-tests: its probes wrap
+# TestbedHarness.run, Simulator.run and run_scenario, so a change to
+# any of those must keep the probes (and the pinned digests) working.
+perfbench-check:
+	PYTHONPATH=src $(PYTHON) -m pytest perfbench -q
 
 # Run the benchmark suite and fail if any benchmark regressed more
 # than 20% against the recorded baseline (BENCH_fastpath.json).

@@ -14,9 +14,11 @@ accounting ground truth.
 
 Like ``obs``, the default is off: ``METER`` is a :class:`NullMeter`
 whose ``enabled`` is ``False``, so un-metered runs pay only a branch
-per tap site.  Heavy machinery (sessions, audits, reports) is imported
-lazily by :mod:`repro.billing.runtime` so this package stays safe to
-import from the dataplane modules.
+per tap site.  Heavy machinery (sessions, audits, reports) lives in
+submodules this package does not import -- the harness reaches
+:class:`~repro.billing.session.MeteringSession` lazily through the
+scenario's :class:`~repro.scenario.context.RunContext` -- so this
+package stays safe to import from the dataplane modules.
 """
 
 from __future__ import annotations

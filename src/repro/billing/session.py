@@ -1,8 +1,10 @@
 """One metered harness run: windows, attribution, fault charges, audit.
 
 A :class:`MeteringSession` is armed just before traffic starts (by
-:func:`repro.billing.runtime.attach_active_session`, or directly by a
-test).  It owns three instruments:
+``TestbedHarness.run`` through
+:meth:`repro.scenario.context.RunContext.attach_metering` when the
+scenario asked for metering, or directly by a test).  It owns three
+instruments:
 
 - a :class:`~repro.billing.meter.TenantMeter` tap installed as the
   process-global ``billing.METER`` -- per-packet exact CPU, PCIe bytes
@@ -16,8 +18,9 @@ test).  It owns three instruments:
 ``finish()`` closes the tail window, charges fault-recovery work to
 the tenants of crashed compartments (composing with an active
 :class:`~repro.faults.session.ChaosSession`), audits conservation, and
-publishes the usage records plus a summary through the billing runtime
-so scenario results carry them.
+appends the usage records plus a summary to the scenario's
+:class:`~repro.scenario.context.RunContext` so scenario results carry
+them.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from repro.billing import attribution
 from repro.billing.audit import reconcile
 from repro.billing.meter import TenantMeter, UsageRecord
 from repro.core.accounting import NetworkingMeter
+from repro.scenario.context import current as current_context
 
 
 class MeteringSession:
@@ -108,8 +112,8 @@ class MeteringSession:
                 str(t): s for t, s in sorted(report.tenant_cpu_skew.items())
             },
         }
-        from repro.billing import runtime as _runtime
-        _runtime.publish([rec.to_dict() for rec in self.records] + [summary])
+        current_context().usage.extend(
+            [rec.to_dict() for rec in self.records] + [summary])
         self._summary = summary
         return summary
 

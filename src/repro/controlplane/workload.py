@@ -15,8 +15,9 @@ comes off a named RNG stream, so the sequential and process-pool
 backends produce byte-identical values for the same spec -- the
 engine's cacheability contract, checked by the tier-1 suite.
 
-When the engine activated a metering context (``("metering", True)``),
-the workload publishes one synthetic :class:`UsageRecord` per tenant
+When the spec asks for metering (``("metering", True)``), the
+workload claims it from the scenario's run context and publishes one
+synthetic :class:`UsageRecord` per tenant
 that ever held a seat: delivered traffic as IO bytes, modeled vswitch
 CPU from the autoscaler's capacity constant, and -- the point of the
 exercise -- migration/autoscale re-sync charged as ``fault_seconds``
@@ -34,6 +35,7 @@ from repro.controlplane.service import ControlPlane
 from repro.core.spec import DeploymentSpec, TrafficScenario
 from repro.core.levels import ResourceMode, SecurityLevel
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.scenario.context import current as current_context
 from repro.scenario.spec import ScenarioSpec
 
 WORKLOAD = "controlplane.churn"
@@ -142,17 +144,15 @@ def _usage_from_service(plan: ChurnPlan,
 def measure_scenario(spec: ScenarioSpec,
                      calibration: Calibration = DEFAULT_CALIBRATION
                      ) -> Dict[str, float]:
-    """Engine entry point: run the churn campaign, publish the
-    lifecycle event log (chaos channel) and usage (billing channel)."""
-    from repro.billing import runtime as billing_runtime
-    from repro.faults import runtime as faults_runtime
-
+    """Engine entry point: run the churn campaign and append the
+    lifecycle event log and (when metering was requested) per-tenant
+    usage to the scenario's run context."""
+    ctx = current_context()
+    ctx.claim_faults()  # the service is its own chaos session
     plan = plan_from_spec(spec)
-    faults_runtime.claim()  # the service is its own chaos session
     service = ControlPlane(plan, seed=spec.seed)
     values = service.run()
-    faults_runtime.publish(service.events)
-    if billing_runtime.metering_requested():
-        billing_runtime.claim()
-        billing_runtime.publish(_usage_from_service(plan, service))
+    ctx.events.extend(service.events)
+    if ctx.claim_metering():
+        ctx.usage.extend(_usage_from_service(plan, service))
     return values

@@ -28,6 +28,7 @@ from repro.core.levels import ResourceMode
 from repro.core.primitives import OpLog
 from repro.core.resources import ResourceReport, measure_resources
 from repro.core.spec import ArpMode, CompartmentKind, DeploymentSpec, TrafficScenario
+from repro.errors import SimulationError
 from repro.host.hypervisor import Hypervisor, PinPolicy, VmSpec
 from repro.host.server import Server
 from repro.host.virtio import VhostCosts, VhostPath
@@ -87,6 +88,10 @@ class Deployment:
     #: Runtime tenant -> compartment overrides (hot-added or migrated
     #: tenants); consulted before the spec's static assignment.
     runtime_compartment: Dict[int, int] = field(default_factory=dict)
+    #: Pending changes to this chain's wiring (armed chaos sessions,
+    #: scheduled or in-flight migrations); see :meth:`hold_wiring`.
+    _wiring_holds: int = field(default=0, init=False, repr=False,
+                               compare=False)
 
     # -- traffic attachment -------------------------------------------------
 
@@ -141,6 +146,28 @@ class Deployment:
             if bridge.model is not None:
                 bridge.model.offered_rate_hint_pps = pps
 
+    # -- wiring holds -------------------------------------------------------
+
+    def hold_wiring(self) -> None:
+        """Register a pending change to this chain's wiring: a fault
+        that crashes or resets a component mid-run, or a migration or
+        removal that re-homes a tenant.  The batched fast path cannot
+        pre-cut a burst across such an instant, so runs of this
+        deployment take the per-frame path until every hold is
+        released with :meth:`release_wiring`."""
+        self._wiring_holds += 1
+
+    def release_wiring(self) -> None:
+        """Release one hold taken with :meth:`hold_wiring`."""
+        if self._wiring_holds <= 0:
+            raise SimulationError("released a wiring hold never taken")
+        self._wiring_holds -= 1
+
+    @property
+    def wiring_stable(self) -> bool:
+        """Whether no wiring change is armed or in flight."""
+        return self._wiring_holds == 0
+
     # -- batched fast path ----------------------------------------------------
 
     def supports_batched_fastpath(self) -> bool:
@@ -169,10 +196,9 @@ class Deployment:
         self._route_cache = {}
         self._margin_epoch = None
         # Fused routes assume the chain's wiring is stable for the run;
-        # a pending fault plan (bridge crashes/restarts) breaks that, so
-        # such runs keep the margin-flush path everywhere.
-        from repro.faults import runtime as _chaos
-        self._allow_fused = not _chaos.chaos_pending()
+        # a held deployment (bridge crashes/restarts, migrations) keeps
+        # the margin-flush path everywhere.
+        self._allow_fused = self.wiring_stable
         # Bridge egress pair -> (nic port, VF) so the resolver can walk
         # the same VEB the flushed frames will traverse.
         pair_vf: Dict[int, tuple] = {}

@@ -29,6 +29,7 @@ from repro.faults.plan import scripted_crash
 from repro.faults.session import ChaosSession
 from repro.measure.reporting import Series, Table
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.scenario.context import current as current_context
 from repro.scenario.spec import ScenarioResult, ScenarioSpec
 from repro.traffic.harness import TestbedHarness
 from repro.units import KPPS
@@ -59,12 +60,10 @@ def measure_scenario(spec: ScenarioSpec,
     """Engine entry point: three equal phases -- healthy, crashed,
     recovered -- with per-tenant delivery fractions for the last two
     (``during:t<N>`` / ``after:t<N>`` keys)."""
-    from repro.faults import runtime
-
     phase = spec.duration / 3.0
     crash_index = int(spec.param("crash_index", 0))
-    claimed_plan, _ = runtime.claim()  # chaos-aware: no harness hook
-    plan = spec.faults or claimed_plan
+    current_context().claim_faults()  # this workload arms its own session
+    plan = spec.faults
     if plan is None or not plan.faults:
         # The legacy hard-coded fault: crash at phase, repair at
         # 2*phase (scripted, so the supervisor stays out of the way).

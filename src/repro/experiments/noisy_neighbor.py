@@ -59,7 +59,7 @@ def measure_scenario(spec: ScenarioSpec,
     deployment = build_deployment(spec.deployment, spec.traffic,
                                   seed=spec.seed, calibration=calibration)
     # Batched fast path where it is exact; chaos compositions (the
-    # billing fault-payer runs) silently fall back to per-frame.
+    # billing fault-payer runs) hold the deployment onto per-frame.
     harness = TestbedHarness(deployment, batch=True)
     harness.add_tenant_flow(ATTACKER, ATTACK_RATE_PPS)
     for victim in VICTIMS:

@@ -7,8 +7,9 @@ back, while a Level-2 compartment crash takes down only the crashed
 compartment's tenants -- and with warm standby the outage shrinks to
 detection + failover.
 
-The workload is chaos-aware: it claims the engine's chaos context (so
-the harness hook does not arm a second session) and manages its own
+The workload is chaos-aware: it claims the fault plan of the
+scenario's :class:`~repro.scenario.context.RunContext` (so the harness
+does not arm a second session) and manages its own
 :class:`~repro.faults.session.ChaosSession`, which lets it report
 outage-window availability per tenant on top of the session's summary.
 """
@@ -24,6 +25,7 @@ from repro.faults.plan import FaultPlan, scripted_crash
 from repro.faults.session import ChaosSession
 from repro.measure.reporting import Series, Table
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.scenario.context import current as current_context
 from repro.scenario.spec import ScenarioResult, ScenarioSpec
 from repro.traffic.harness import TestbedHarness
 from repro.units import KPPS
@@ -62,10 +64,8 @@ def measure_scenario(spec: ScenarioSpec,
     """Engine entry point: run the spec's fault plan (or the default
     single-crash campaign) and report availability, blast radius and
     the session's inject/detect/recover accounting."""
-    from repro.faults import runtime
-
-    claimed_plan, _ = runtime.claim()  # keep the harness hook away
-    plan = spec.faults or claimed_plan
+    current_context().claim_faults()  # this workload arms its own session
+    plan = spec.faults
     if plan is None or not plan.faults:
         plan = default_plan(spec.duration,
                             crash_index=int(spec.param("crash_index", 0)),

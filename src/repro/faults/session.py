@@ -31,6 +31,7 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.supervisor import Supervisor
 from repro.faults.watchdog import Watchdog
 from repro.obs.integrate import drop_totals
+from repro.scenario.context import current as current_context
 from repro.sim.rng import RngStreams
 
 
@@ -117,7 +118,11 @@ class ChaosSession:
     # -- lifecycle --------------------------------------------------------
 
     def arm(self, horizon: float) -> None:
-        """Snapshot baselines, schedule the plan, start the watchdog."""
+        """Snapshot baselines, schedule the plan, start the watchdog.
+        Holds the deployment's wiring until :meth:`finish`: fault and
+        heal instants land at arbitrary sim times, so runs must take
+        the per-frame path."""
+        self.deployment.hold_wiring()
         self._horizon = horizon
         self._armed_at = self.sim.now
         self._drops_base = drop_totals(self.deployment)
@@ -306,8 +311,9 @@ class ChaosSession:
 
     def finish(self) -> Dict[str, float]:
         """Close the books: conservation, invariants, per-tenant gauges.
-        Publishes the event log to the engine's chaos context and
-        returns a flat summary (idempotent)."""
+        Releases the wiring hold, appends the event log to the
+        scenario's run context and returns a flat summary
+        (idempotent)."""
         if self._finished is not None:
             return self._finished
         lg = self.harness.lg
@@ -371,7 +377,7 @@ class ChaosSession:
             "unaccounted": float(unaccounted),
             "violations": float(len(self.violations)),
         }
-        from repro.faults import runtime
-        runtime.publish(self.log.to_dicts())
+        self.deployment.release_wiring()
+        current_context().events.extend(self.log.to_dicts())
         self._finished = summary
         return summary

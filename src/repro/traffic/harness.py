@@ -19,6 +19,7 @@ from repro.net.addresses import MacAddress
 from repro.net.link import Link, OpticalTap
 from repro.net import packet
 from repro.net.packet import IpProto
+from repro.scenario.context import current as current_context
 from repro.traffic.generator import (BATCHED_BURST, DEFAULT_BURST,
                                      FlowConfig, LoadGenerator)
 from repro.traffic.sink import LatencyMonitor, Sink
@@ -131,13 +132,17 @@ class TestbedHarness:
         ``warmup``.  ``cooldown`` lets in-flight frames land."""
         offered = self.lg.aggregate_rate_pps
         self.deployment.set_offered_rate_hint(offered)
-        # A pending fault plan forces the per-frame oracle path: fault
-        # and heal instants land at arbitrary sim times, and a batch
-        # whose members straddle one would deliver or drop as a unit
-        # where the oracle splits it at the instant.
-        from repro.faults import runtime as _chaos
+        # A fault plan on the running scenario's spec attaches here, so
+        # any harness-based workload is chaos-capable without changes.
+        ctx = current_context()
+        chaos_session = ctx.attach_chaos(self, horizon=duration)
+        # A held deployment (armed chaos session, pending migration)
+        # takes the per-frame oracle path: fault and heal instants land
+        # at arbitrary sim times, and a batch whose members straddle
+        # one would deliver or drop as a unit where the oracle splits
+        # it at the instant.
         if (self.batch and not _obs.TRACER.enabled
-                and not _chaos.chaos_pending()
+                and self.deployment.wiring_stable
                 and self.lg.supports_batching()
                 and self.deployment.supports_batched_fastpath()):
             self.deployment.enable_batched_fastpath()
@@ -153,14 +158,10 @@ class TestbedHarness:
             # the simulation is still running.
             self.sim.call_later(duration + cooldown * 0.5,
                                 self.deployment.drain_batches)
-        # A fault plan on the running scenario's spec attaches here, so
-        # any harness-based workload is chaos-capable without changes.
-        chaos_session = _chaos.attach_active_session(self, horizon=duration)
         # Likewise for metering: a spec that asked for billing gets a
         # session that windows usage while this run executes.
-        from repro.billing import runtime as _metering
-        meter_session = _metering.attach_active_session(
-            self, horizon=duration, chaos=chaos_session)
+        meter_session = ctx.attach_metering(self, horizon=duration,
+                                            chaos=chaos_session)
         self.lg.start(duration)
         self.sim.run(until=self.sim.now + duration + cooldown)
         t0, t1 = warmup, duration

@@ -11,6 +11,7 @@ import pytest
 from repro.core import SecurityLevel, TrafficScenario, build_deployment
 from repro.core.orchestrator import MtsOrchestrator
 from repro.core.verification import audit_deployment
+from repro.errors import SimulationError
 from repro.traffic import TestbedHarness
 from tests.conftest import make_spec
 
@@ -114,3 +115,37 @@ class TestChurn:
         names = [p.name for p in view.bridge.ports()]
         assert all(n.startswith("inout") for n in names)
         assert audit_deployment(d).ok
+
+    def test_release_without_hold_raises(self):
+        """Hold accounting is loud: releasing a wiring hold that was
+        never taken is a bug, not something to clamp away."""
+        d, _, _ = self._setup()
+        with pytest.raises(SimulationError):
+            d.release_wiring()
+        d.hold_wiring()
+        d.release_wiring()
+        assert d.wiring_stable
+        with pytest.raises(SimulationError):
+            d.release_wiring()
+
+    def test_hold_pending_at_horizon_stays_on_its_deployment(self):
+        """A migration that completes after the run's horizon leaves
+        its hold on its own deployment only: another deployment's run
+        still takes the batched path with no reset in between, and the
+        hold clears once the migration lands."""
+        d, orch, h = self._setup()
+        h.add_tenant_flow(2, RATE)
+        record = orch.migrate_tenant(0, target=1)
+        h.run(duration=0.004, cooldown=0.002)
+        assert d.sim.now < record.completed_at
+        assert not d.wiring_stable
+
+        other = build_deployment(make_spec(level=SecurityLevel.LEVEL_2,
+                                           vms=2), TrafficScenario.P2V)
+        batched = TestbedHarness(other, batch=True)
+        batched.add_tenant_flow(2, RATE)
+        batched.run(duration=0.004)
+        assert batched.lg.batch is True
+
+        d.sim.run(until=record.completed_at + 1e-6)
+        assert d.wiring_stable

@@ -296,8 +296,8 @@ TOUT_ABS_TOL = 5e-6
 TOUT_FRACTION = 0.02
 
 #: A mid-run vswitch crash that heals: exercises the batch blackhole
-#: handlers installed by the orchestrator and the chaos_pending() gate
-#: that keeps fused routes off while faults are armed.
+#: handlers installed by the orchestrator and the deployment's wiring
+#: hold that keeps fused routes off while faults are armed.
 CRASH_PLAN = None  # built lazily; FaultPlan import is heavier
 
 
@@ -315,6 +315,7 @@ def _crash_plan():
 def _run_fig5(batch, burst, tracing, metering, faulted, duration):
     """One Fig. 5 L2 run; returns every observable the exactness
     contract compares."""
+    import contextlib
     import math
     from collections import defaultdict
 
@@ -323,13 +324,13 @@ def _run_fig5(batch, burst, tracing, metering, faulted, duration):
     from repro import obs
     from repro.core import SecurityLevel, TrafficScenario, build_deployment
     from repro.core.spec import DeploymentSpec
-    from repro.faults import runtime as chaos
+    from repro.scenario.context import RunContext
     from repro.traffic import TestbedHarness
 
     if metering:
         billing.install(TenantMeter())
-    if faulted:
-        chaos.activate(_crash_plan(), seed=7)
+    chaos_scope = (RunContext(_crash_plan(), seed=7) if faulted
+                   else contextlib.nullcontext())
     spec = DeploymentSpec(level=SecurityLevel.LEVEL_2, num_vswitch_vms=2)
     d = build_deployment(spec, TrafficScenario.P2V)
     tracer = obs.enable_tracing(d.sim) if tracing else None
@@ -338,7 +339,8 @@ def _run_fig5(batch, burst, tracing, metering, faulted, duration):
         if burst is not None:
             h.lg.burst = burst
         h.configure_tenant_flows(rate_per_flow_pps=200_000)
-        result = h.run(duration=duration)
+        with chaos_scope:
+            result = h.run(duration=duration)
         mon = h.monitor
         per_flow_eg = defaultdict(int)
         for _t, f in mon.egress_times:
@@ -373,8 +375,6 @@ def _run_fig5(batch, burst, tracing, metering, faulted, duration):
     finally:
         if tracing:
             obs.disable_tracing()
-        if faulted:
-            chaos.deactivate()
         if metering:
             billing.uninstall(billing.METER)
 
@@ -451,16 +451,16 @@ class TestBatchedChainDifferential:
         _assert_exact(oracle, batched)
 
     def test_fault_plan_forces_per_frame_path(self):
-        """The chaos_pending() gate itself: with a plan armed the
-        harness must not flip the generator into batched emission."""
+        """The wiring-hold gate itself: with a plan in the run context
+        the harness attaches its chaos session first and must not flip
+        the generator into batched emission."""
         from repro.core import (SecurityLevel, TrafficScenario,
                                 build_deployment)
         from repro.core.spec import DeploymentSpec
-        from repro.faults import runtime as chaos
+        from repro.scenario.context import RunContext
         from repro.traffic import TestbedHarness
 
-        chaos.activate(_crash_plan(), seed=7)
-        try:
+        with RunContext(_crash_plan(), seed=7):
             spec = DeploymentSpec(level=SecurityLevel.LEVEL_2,
                                   num_vswitch_vms=2)
             d = build_deployment(spec, TrafficScenario.P2V)
@@ -468,8 +468,6 @@ class TestBatchedChainDifferential:
             h.configure_tenant_flows(rate_per_flow_pps=200_000)
             h.run(duration=0.002)
             assert h.lg.batch is False
-        finally:
-            chaos.deactivate()
 
     def _run_churn_case(self, batch, duration=0.008):
         """One scripted-churn run: a live migration armed before the
@@ -529,29 +527,60 @@ class TestBatchedChainDifferential:
             assert oracle[key] == batched[key], key
 
     def test_churn_holds_drain(self):
-        """Lifecycle holds must not leak: pending before the ops fire,
+        """Wiring holds must not leak: pending before the ops fire,
         clear after the run (else every later run is deoptimized)."""
         from repro.controlplane.driver import ChurnScript
         from repro.core import (SecurityLevel, TrafficScenario,
                                 build_deployment)
         from repro.core.spec import DeploymentSpec
-        from repro.faults import runtime as chaos
         from repro.traffic import TestbedHarness
 
-        assert chaos.chaos_pending() is False
         spec = DeploymentSpec(level=SecurityLevel.LEVEL_2,
                               num_vswitch_vms=2)
         d = build_deployment(spec, TrafficScenario.P2V)
+        assert d.wiring_stable is True
         h = TestbedHarness(d, batch=True)
         h.configure_tenant_flows(rate_per_flow_pps=200_000)
         script = ChurnScript(d)
         try:
             script.schedule_migration(0.001, tenant_id=0, target=1)
-            assert chaos.chaos_pending() is True  # armed = pending
+            assert d.wiring_stable is False  # armed = pending
             h.run(duration=0.004)
         finally:
             script.close()
-        assert chaos.chaos_pending() is False  # drained, no leak
+        assert d.wiring_stable is True  # drained, no leak
+
+    def test_churn_on_one_deployment_leaves_another_batched(self):
+        """Holds live on the deployment whose wiring changes: churn
+        armed on deployment A must not force an unrelated deployment B
+        off the batched path or change a single observable of B's run."""
+        from repro.controlplane.driver import ChurnScript
+        from repro.core import (SecurityLevel, TrafficScenario,
+                                build_deployment)
+        from repro.core.spec import DeploymentSpec
+        from repro.traffic import TestbedHarness
+
+        spec = DeploymentSpec(level=SecurityLevel.LEVEL_2,
+                              num_vswitch_vms=2)
+
+        def run_b():
+            h = TestbedHarness(build_deployment(spec, TrafficScenario.P2V),
+                               batch=True)
+            h.configure_tenant_flows(rate_per_flow_pps=200_000)
+            result = h.run(duration=0.004)
+            return h.lg.batch, (
+                result.sent, result.delivered, dict(h.sink.per_flow),
+                [(s.flow_id, s.t_in, s.t_out) for s in h.monitor.samples])
+
+        _, alone = run_b()
+        script = ChurnScript(build_deployment(spec, TrafficScenario.P2V))
+        try:
+            script.schedule_migration(0.001, tenant_id=0, target=1)
+            batched, beside = run_b()
+        finally:
+            script.close()
+        assert batched is True
+        assert beside == alone
 
     def test_billing_reconciliation_on_batched_path(self):
         """MeteringSession windows + invariants must reconcile on the
