@@ -10,7 +10,7 @@ gives measurement code the same vantage point the DAG card had.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro import obs as _obs
 from repro.net.interfaces import Port
@@ -27,38 +27,36 @@ class OpticalTap:
 
     def __init__(self, name: str):
         self.name = name
-        self._observers: List[Callable[[Frame, float], None]] = []
-        self._batch_observers: List[
-            Callable[[FrameBatch, List[float]], None]] = []
+        self._observers: List[Tuple[
+            Callable[[Frame, float], None],
+            Optional[Callable[[FrameBatch, List[float]], None]]]] = []
         self.frames_seen = 0
 
-    def observe(self, callback: Callable[[Frame, float], None]) -> None:
-        self._observers.append(callback)
-
-    def observe_batch(
-            self, callback: Callable[[FrameBatch, List[float]], None]) -> None:
-        """Register a batch-aware observer: gets ``(batch, starts)``
-        with one wire-entry timestamp per member."""
-        self._batch_observers.append(callback)
+    def observe(
+            self, callback: Callable[[Frame, float], None],
+            batch_callback: Optional[
+                Callable[[FrameBatch, List[float]], None]] = None) -> None:
+        """Register an observer.  A batch crossing goes to
+        ``batch_callback`` as ``(batch, starts)`` -- one wire-entry
+        timestamp per member -- when given; otherwise ``callback`` sees
+        each materialized member in order."""
+        self._observers.append((callback, batch_callback))
 
     def _notify(self, frame: Frame, now: float) -> None:
         self.frames_seen += 1
-        for callback in self._observers:
+        for callback, _ in self._observers:
             callback(frame, now)
 
     def _notify_batch(self, batch: FrameBatch, starts: List[float]) -> None:
         self.frames_seen += len(batch)
-        if self._batch_observers:
-            # An observer that registers a batch callback is expected to
-            # also own any per-frame registration it made (it sees each
-            # member exactly once, through the batch form).
-            for callback in self._batch_observers:
-                callback(batch, starts)
-            return
-        # Purely legacy observers: materialize members for them.
-        for i, t in enumerate(starts):
-            frame = batch.frame_at(i)
-            for callback in self._observers:
+        frames = None
+        for callback, batch_callback in self._observers:
+            if batch_callback is not None:
+                batch_callback(batch, starts)
+                continue
+            if frames is None:
+                frames = [batch.frame_at(i) for i in range(len(starts))]
+            for frame, t in zip(frames, starts):
                 callback(frame, t)
 
 

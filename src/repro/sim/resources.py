@@ -387,63 +387,3 @@ class BatchFairStation:
                 self._last_key = key
                 return key
         return None
-
-
-class ServiceStation:
-    """A single server with a FIFO queue and per-item service times.
-
-    Models one processing stage: items arrive via :meth:`submit`, wait in
-    FIFO order, are served one at a time for ``service_time(item)``
-    seconds, and are then handed to ``on_done(item)``.
-
-    The station is work-conserving; utilization statistics (busy time) are
-    tracked for resource accounting.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        service_time: Callable[[Any], float],
-        on_done: Callable[[Any], None],
-        capacity: Optional[int] = None,
-        name: str = "station",
-    ) -> None:
-        self.sim = sim
-        self.service_time = service_time
-        self.on_done = on_done
-        self.queue = FifoQueue(capacity=capacity, name=f"{name}.queue")
-        self.name = name
-        self.busy = False
-        self.served = 0
-        self.busy_time = 0.0
-
-    def submit(self, item: Any) -> bool:
-        """Offer an item; returns False if the queue dropped it."""
-        if not self.queue.push(item):
-            return False
-        if not self.busy:
-            self._start_next()
-        return True
-
-    def _start_next(self) -> None:
-        if len(self.queue) == 0:
-            self.busy = False
-            return
-        item = self.queue.pop()
-        self.busy = True
-        duration = self.service_time(item)
-        if duration < 0:
-            raise ValueError(f"negative service time {duration} at {self.name}")
-        self.busy_time += duration
-        self.sim.call_later(duration, self._finish, item)
-
-    def _finish(self, item: Any) -> None:
-        self.served += 1
-        self.on_done(item)
-        self._start_next()
-
-    def utilization(self, elapsed: float) -> float:
-        """Fraction of ``elapsed`` seconds this station spent serving."""
-        if elapsed <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / elapsed)

@@ -126,33 +126,14 @@ class FilterChain:
                 return flt.action
         return self.default
 
-    def evaluate(self, vf: VirtualFunction, frame: Frame) -> FilterAction:
-        """First matching filter decides; otherwise the default applies."""
-        self.evaluations += 1
-        key = (vf.name, vf.vlan, frame.src_mac, frame.dst_mac)
-        action = self._memo.get(key)
-        if action is not None:
-            self.memo_hits += 1
-        else:
-            action = self.default
-            for flt in self._filters:
-                if flt.matches(vf, frame):
-                    action = flt.action
-                    break
-            if len(self._memo) >= self.MEMO_CAPACITY:
-                self._memo.pop(next(iter(self._memo)))
-            self._memo[key] = action
-        if action == FilterAction.DROP:
-            self.drops += 1
-        return action
+    def evaluate(self, vf: VirtualFunction, frame: Frame,
+                 n: int = 1) -> FilterAction:
+        """First matching filter decides; otherwise the default applies.
 
-    def evaluate_batch(self, vf: VirtualFunction, frame: Frame,
-                       n: int) -> FilterAction:
-        """One verdict for ``n`` identical-header frames.
-
-        Counter bumps replicate ``n`` sequential :meth:`evaluate` calls
-        exactly: on a memo miss the first frame walks the chain and the
-        remaining ``n - 1`` hit the memo.
+        One verdict covers ``n`` identical-header frames; counter bumps
+        replicate ``n`` sequential single-frame calls exactly: on a memo
+        miss the first frame walks the chain and the remaining ``n - 1``
+        hit the memo.
         """
         self.evaluations += n
         key = (vf.name, vf.vlan, frame.src_mac, frame.dst_mac)

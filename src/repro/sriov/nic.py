@@ -334,14 +334,14 @@ class NicPort:
             if meter.enabled:
                 meter.drop(frame.tenant_id, "nic_spoof", n)
             return
-        if self.nic.filters.evaluate_batch(vf, frame, n) == FilterAction.DROP:
+        if self.nic.filters.evaluate(vf, frame, n) == FilterAction.DROP:
             vf.stats.filter_drops += n
             self.drops.filtered += n
             if meter.enabled:
                 meter.drop(frame.tenant_id, "nic_filtered", n)
             return
         domain = self.veb.domain_of(vf)
-        delay = (self.nic.pcie.transfer_time_batch(wire, frame.tenant_id, n)
+        delay = (self.nic.pcie.transfer_time(wire, frame.tenant_id, n)
                  + VEB_LATENCY)
         batch.advance(delay)
         self._switch_batch(vf.name, domain, batch)
@@ -355,8 +355,8 @@ class NicPort:
     def _switch_batch(self, ingress: str, domain: int,
                       batch: FrameBatch) -> None:
         n = len(batch)
-        decision = self.veb.forward_batch(ingress, domain, batch.frame,
-                                          now=batch.ts[-1], n=n)
+        decision = self.veb.forward(ingress, domain, batch.frame,
+                                    now=batch.ts[-1], n=n)
         dests = decision.destinations
         if not dests:
             self.drops.no_destination += n
@@ -399,7 +399,7 @@ class NicPort:
         func.stats.rx_frames += n
         func.stats.rx_bytes += wire * n
         batch.advance(
-            self.nic.pcie.transfer_time_batch(wire, frame.tenant_id, n))
+            self.nic.pcie.transfer_time(wire, frame.tenant_id, n))
         func.port.rx.receive_batch(batch, self.nic.sim)
 
 

@@ -69,26 +69,14 @@ class PcieBus:
         """
         return self.gen.per_lane_bps * self.lanes * USABLE_FRACTION
 
-    def transfer_time(self, size_bytes: int,
-                      tenant: Optional[int] = None) -> float:
-        """DMA one frame across the bus: latency + serialization.
+    def transfer_time(self, size_bytes: int, tenant: Optional[int] = None,
+                      n: int = 1) -> float:
+        """DMA ``n`` same-size frames across the bus: each pays the same
+        latency + serialization (returned once); byte accounting covers
+        all ``n``.
 
         ``tenant`` attributes the crossing to a tenant when metering is
         on; timing is unaffected.
-        """
-        if size_bytes < 0:
-            raise ValueError(f"negative transfer size: {size_bytes}")
-        self.bytes_transferred += size_bytes
-        if _billing.METER.enabled and tenant is not None:
-            _billing.METER.pcie(tenant, size_bytes)
-        return DMA_LATENCY + size_bytes * 8.0 / self.effective_bandwidth_bps()
-
-    def transfer_time_batch(self, size_bytes: int, tenant: Optional[int],
-                            n: int) -> float:
-        """Batched :meth:`transfer_time`: ``n`` same-size crossings.
-
-        Each member pays the same DMA + serialization delay (returned
-        once); byte accounting and metering cover all ``n``.
         """
         if size_bytes < 0:
             raise ValueError(f"negative transfer size: {size_bytes}")

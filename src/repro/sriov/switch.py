@@ -150,43 +150,12 @@ class VebSwitch:
     # -- forwarding ---------------------------------------------------------
 
     def forward(self, ingress: str, vlan: int, frame: Frame,
-                now: float = 0.0) -> ForwardingDecision:
-        """Decide egress for a frame that entered domain ``vlan`` from
-        ``ingress`` (a function name or :data:`UPLINK`)."""
-        self.forwards += 1
-        key = (ingress, vlan, frame.src_mac, frame.dst_mac)
-        cached = self._decisions.get(key)
-        if cached is not None:
-            dests, flooded, reason, d_lookups, d_floods, d_unknown = cached
-            self.decision_cache_hits += 1
-            self.lookups += d_lookups
-            self.floods += d_floods
-            self.unknown_unicasts += d_unknown
-            # The source entry was learned when this decision was cached
-            # (any change since would have flushed); refresh its age.
-            entry = self._table.get((vlan, frame.src_mac))
-            if entry is not None and not entry.static:
-                entry.last_seen = now
-            decision = ForwardingDecision(destinations=list(dests),
-                                          flooded=flooded, reason=reason)
-            _obs.TRACER.veb_forward(self.name, frame, ingress, vlan, decision)
-            return decision
-        before = (self.lookups, self.floods, self.unknown_unicasts)
-        decision = self._forward_uncached(ingress, vlan, frame, now)
-        if len(self._decisions) >= DECISION_CACHE_CAPACITY:
-            self._decisions.pop(next(iter(self._decisions)))
-        self._decisions[key] = (
-            tuple(decision.destinations), decision.flooded, decision.reason,
-            self.lookups - before[0], self.floods - before[1],
-            self.unknown_unicasts - before[2])
-        _obs.TRACER.veb_forward(self.name, frame, ingress, vlan, decision)
-        return decision
+                now: float = 0.0, n: int = 1) -> ForwardingDecision:
+        """Decide egress for ``n`` identical-header frames that entered
+        domain ``vlan`` from ``ingress`` (a function name or
+        :data:`UPLINK`).
 
-    def forward_batch(self, ingress: str, vlan: int, frame: Frame,
-                      now: float, n: int) -> ForwardingDecision:
-        """One decision for ``n`` identical-header frames.
-
-        Counters replicate ``n`` sequential :meth:`forward` calls: the
+        Counters replicate ``n`` sequential single-frame calls: the
         uncached walk's deltas equal the cached deltas it installs, so
         totals scale by ``n`` either way; only ``decision_cache_hits``
         distinguishes the first (miss) frame.  ``now`` should be the
@@ -201,11 +170,15 @@ class VebSwitch:
             self.lookups += d_lookups * n
             self.floods += d_floods * n
             self.unknown_unicasts += d_unknown * n
+            # The source entry was learned when this decision was cached
+            # (any change since would have flushed); refresh its age.
             entry = self._table.get((vlan, frame.src_mac))
             if entry is not None and not entry.static:
                 entry.last_seen = now
-            return ForwardingDecision(destinations=list(dests),
-                                      flooded=flooded, reason=reason)
+            decision = ForwardingDecision(destinations=list(dests),
+                                          flooded=flooded, reason=reason)
+            _obs.TRACER.veb_forward(self.name, frame, ingress, vlan, decision)
+            return decision
         before = (self.lookups, self.floods, self.unknown_unicasts)
         decision = self._forward_uncached(ingress, vlan, frame, now)
         deltas = (self.lookups - before[0], self.floods - before[1],
@@ -221,6 +194,7 @@ class VebSwitch:
             self.lookups += deltas[0] * rest
             self.floods += deltas[1] * rest
             self.unknown_unicasts += deltas[2] * rest
+        _obs.TRACER.veb_forward(self.name, frame, ingress, vlan, decision)
         return decision
 
     def peek_destinations(self, ingress: str, vlan: int,

@@ -60,10 +60,8 @@ class LatencyMonitor:
         self.samples: List[LatencySample] = []
         self.egress_times: List[Tuple[float, int]] = []  # (t, flow_id)
         self.unmatched_egress = 0
-        ingress_tap.observe(self._on_ingress)
-        egress_tap.observe(self._on_egress)
-        ingress_tap.observe_batch(self._on_ingress_batch)
-        egress_tap.observe_batch(self._on_egress_batch)
+        ingress_tap.observe(self._on_ingress, self._on_ingress_batch)
+        egress_tap.observe(self._on_egress, self._on_egress_batch)
 
     def _on_ingress(self, frame: Frame, now: float) -> None:
         self._pending[frame.frame_id] = (frame.flow_id, now)

@@ -81,29 +81,13 @@ class MegaflowCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup_cost(self, frame: Frame, in_port: int) -> float:
-        """Extra cycles this packet costs: 0 on a hit, an upcall on a
-        miss (which also installs the entry)."""
-        key = flow_signature(frame, in_port)
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self._entries[key] += 1
-            self.stats.hits += 1
-            return 0.0
-        self.stats.misses += 1
-        self._entries[key] = 1
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-        return self.upcall_cycles
+    def lookup_cost(self, frame: Frame, in_port: int, n: int = 1) -> float:
+        """Extra cycles the *first* of ``n`` same-key packets costs: 0 on
+        a hit, an upcall on a miss (which also installs the entry).
 
-    def lookup_cost_batch(self, frame: Frame, in_port: int,
-                          n: int) -> float:
-        """Extra cycles the *first* of ``n`` same-key packets costs.
-
-        Replicates ``n`` sequential :meth:`lookup_cost` calls: at most
-        the first misses (install + upcall), the rest hit.  Frames 2..n
-        cost 0 extra, so the caller only needs the one return value.
+        Replicates ``n`` sequential single-packet calls: at most the
+        first misses, the rest hit and cost 0 extra, so the caller only
+        needs the one return value.
         """
         key = flow_signature(frame, in_port)
         if key in self._entries:

@@ -825,7 +825,7 @@ class OvsBridge:
         self._replay_batch(sink.route.template, port, batch.frame, n)
         self.passes += n
         if self.cache is not None:
-            self.cache.lookup_cost_batch(batch.frame, port.port_no, n)
+            self.cache.lookup_cost(batch.frame, port.port_no, n)
         sink.attach_part(batch)
 
     def _replay_batch(self, template: _PlanTemplate, port: BridgePort,
@@ -872,8 +872,8 @@ class OvsBridge:
         if self.cache is not None:
             # Only the first member can miss; the rest hit the entry it
             # installs and cost nothing extra.
-            extra = self.cache.lookup_cost_batch(plan.frame, plan.in_port,
-                                                 len(batch))
+            extra = self.cache.lookup_cost(plan.frame, plan.in_port,
+                                           len(batch))
         svc, waits = model.timing_batch(
             cycles + extra, cycles, effective_hz=share.effective_hz(),
             sharers=share.sharers, num_queues=len(self._stations),

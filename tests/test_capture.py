@@ -75,15 +75,20 @@ class TestCaptureBuffer:
 
 
 class TestAttachment:
-    def test_attach_to_harness_tap(self):
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_attach_to_harness_tap(self, batch):
         d = build_deployment(make_spec(level=SecurityLevel.LEVEL_1),
                              TrafficScenario.P2V)
-        h = TestbedHarness(d)
+        h = TestbedHarness(d, batch=batch)
         cap = Capture(flt=CaptureFilter(tenant_id=2)).attach_tap(h.egress_tap)
-        h.configure_tenant_flows(rate_per_flow_pps=1000)
-        h.run(duration=0.01)
+        # Fast enough that the batched path carries multi-frame bursts.
+        h.configure_tenant_flows(rate_per_flow_pps=2500)
+        h.run(duration=0.05)
         assert cap.matched > 0
         assert all(r.frame.tenant_id == 2 for r in cap.records)
+        # A per-frame observer registered after the harness's batch-aware
+        # latency monitor still sees every delivered frame.
+        assert cap.seen == h.sink.total
 
     def test_attach_port_preserves_delivery(self):
         sim = Simulator()

@@ -1,5 +1,6 @@
 """The README's quickstart block must actually run."""
 
+import importlib.util
 import pathlib
 import re
 
@@ -38,3 +39,13 @@ class TestReadme:
         examples = (README.parent / "examples").glob("*.py")
         for example in examples:
             assert example.name in text, example.name
+
+    def test_factor_table_lists_every_gate(self):
+        path = README.parent / "tool" / "bench.py"
+        spec = importlib.util.spec_from_file_location("readme_bench", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        table = re.findall(r"^\| `(\w+)` \|", README.read_text(), re.M)
+        assert table, "README lost its factor table"
+        for row in bench.GATES:
+            assert row.key in table, row.key

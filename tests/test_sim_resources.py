@@ -1,8 +1,8 @@
-"""FIFO queues and service stations."""
+"""FIFO queues and RNG streams."""
 
 import pytest
 
-from repro.sim import FifoQueue, ServiceStation, Simulator
+from repro.sim import FifoQueue
 
 
 class TestFifoQueue:
@@ -39,74 +39,6 @@ class TestFifoQueue:
         q.push(1)
         q.clear()
         assert len(q) == 0
-
-
-class TestServiceStation:
-    def test_serves_in_order_with_service_time(self):
-        sim = Simulator()
-        done = []
-        station = ServiceStation(sim, service_time=lambda _: 1.0,
-                                 on_done=lambda item: done.append((item, sim.now)))
-        station.submit("a")
-        station.submit("b")
-        sim.run()
-        assert done == [("a", 1.0), ("b", 2.0)]
-
-    def test_idle_station_starts_immediately(self):
-        sim = Simulator()
-        done = []
-        station = ServiceStation(sim, service_time=lambda _: 0.5,
-                                 on_done=lambda item: done.append(sim.now))
-        station.submit("x")
-        sim.run()
-        assert done == [0.5]
-
-    def test_queue_capacity_drops(self):
-        sim = Simulator()
-        station = ServiceStation(sim, service_time=lambda _: 1.0,
-                                 on_done=lambda item: None, capacity=1)
-        assert station.submit("a")      # begins service
-        assert station.submit("b")      # queued
-        assert not station.submit("c")  # queue full -> dropped
-        sim.run()
-        assert station.served == 2
-        assert station.queue.dropped == 1
-
-    def test_busy_time_accumulates(self):
-        sim = Simulator()
-        station = ServiceStation(sim, service_time=lambda item: item,
-                                 on_done=lambda item: None)
-        station.submit(1.0)
-        station.submit(2.0)
-        sim.run()
-        assert station.busy_time == pytest.approx(3.0)
-        assert station.utilization(6.0) == pytest.approx(0.5)
-
-    def test_utilization_capped_at_one(self):
-        sim = Simulator()
-        station = ServiceStation(sim, service_time=lambda _: 2.0,
-                                 on_done=lambda item: None)
-        station.submit("a")
-        sim.run()
-        assert station.utilization(1.0) == 1.0
-
-    def test_negative_service_time_rejected(self):
-        sim = Simulator()
-        station = ServiceStation(sim, service_time=lambda _: -1.0,
-                                 on_done=lambda item: None)
-        # The idle station begins service synchronously on submit.
-        with pytest.raises(ValueError):
-            station.submit("a")
-
-    def test_work_conserving_across_idle_gaps(self):
-        sim = Simulator()
-        done = []
-        station = ServiceStation(sim, service_time=lambda _: 0.1,
-                                 on_done=lambda item: done.append(sim.now))
-        station.submit("a")
-        sim.schedule(1.0, station.submit, "b")
-        sim.run()
-        assert done == pytest.approx([0.1, 1.1])
 
 
 class TestRngStreams:
