@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test bench bench-update bench-micro profile sweep-bench sweep-smoke chaos-smoke billing-smoke fabric-smoke control-smoke perfbench-check
+.PHONY: test bench bench-update bench-micro profile sweep-bench sweep-smoke chaos-smoke billing-smoke fabric-smoke control-smoke obs-smoke perfbench-check
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -101,6 +101,19 @@ control-smoke:
 		--events-out .control-smoke/events.jsonl
 	test -s .control-smoke/events.jsonl
 	rm -rf .control-smoke
+
+# End-to-end smoke of the packet tracer: one traced L2 run through
+# `repro obs` must write a non-empty span dump and metrics snapshot.
+obs-smoke:
+	rm -rf .obs-smoke
+	mkdir -p .obs-smoke
+	PYTHONPATH=src $(PYTHON) -m repro obs --level l2 --vms 2 \
+		--duration 0.01 \
+		--trace-out .obs-smoke/spans.jsonl \
+		--metrics-out .obs-smoke/metrics.prom
+	test -s .obs-smoke/spans.jsonl
+	test -s .obs-smoke/metrics.prom
+	rm -rf .obs-smoke
 
 # End-to-end smoke of the billing pipeline: meter the noisy-neighbor
 # workload on every level (clean + compartment-crash runs), fail

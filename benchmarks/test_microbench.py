@@ -333,16 +333,13 @@ def test_e2e_traced_packet_rate(benchmark):
                               num_vswitch_vms=2)
         d = build_deployment(spec, TrafficScenario.P2V)
         tracer = obs.enable_tracing(d.sim)
-        try:
-            h = TestbedHarness(d)
-            h.configure_tenant_flows(rate_per_flow_pps=200_000)
-            result = h.run(duration=0.01)
-            # len(tracer) counts accepted records without forcing the
-            # lazy Span materialization (a query-time cost by design).
-            assert len(tracer) > result.sent  # actually recording
-            return result.sent
-        finally:
-            obs.disable_tracing()
+        h = TestbedHarness(d)
+        h.configure_tenant_flows(rate_per_flow_pps=200_000)
+        result = h.run(duration=0.01)
+        # len(tracer) counts accepted records without forcing the lazy
+        # Span materialization (a query-time cost by design).
+        assert len(tracer) > result.sent  # actually recording
+        return result.sent
 
     assert benchmark(run) == 8001
 

@@ -1,24 +1,24 @@
 """Per-tenant metering primitives: the tap object and the usage record.
 
 This module is the import-light bottom of the billing layer -- the
-hot-path tap sites (:mod:`repro.vswitch.ovs`, :mod:`repro.sriov.nic`,
-:mod:`repro.sriov.pcie`, :mod:`repro.core.orchestrator`) import it at
-module load, so it must not pull in the deployment stack.  Everything
-that knows about deployments lives in :mod:`repro.billing.session`.
+simulator kernel imports it at module load for :data:`NULL_METER`, so
+it must not pull in the deployment stack.  Everything that knows about
+deployments lives in :mod:`repro.billing.session`.
 
 Two tap implementations share one interface:
 
 ``NullMeter``
-    The zero-cost default.  ``enabled`` is ``False`` and every tap is a
-    no-op; instrumentation sites guard with ``if METER.enabled`` so the
-    disabled path costs two attribute loads and a branch per packet.
+    The zero-cost default every simulator starts with
+    (:data:`NULL_METER`).  ``enabled`` is ``False`` and every tap is a
+    no-op; instrumentation sites guard with ``if meter.enabled`` so the
+    disabled path costs a few attribute loads and a branch per packet.
 
 ``TenantMeter``
     The recording tap a :class:`~repro.billing.session.MeteringSession`
-    installs for one run: plain dict accumulators keyed by tenant id,
-    harvested (and delta'd) at window boundaries.  Unattributable
-    frames (no tenant id) land on tenant ``-1`` so conservation checks
-    still close.
+    puts on its deployment's simulator (``sim.meter``) for one run:
+    plain dict accumulators keyed by tenant id, harvested (and
+    delta'd) at window boundaries.  Unattributable frames (no tenant
+    id) land on tenant ``-1`` so conservation checks still close.
 """
 
 from __future__ import annotations
@@ -46,8 +46,13 @@ class NullMeter:
     def drop(self, tenant: Optional[int], reason: str, n: int = 1) -> None:
         pass
 
-    def fault_drop(self, tenant: Optional[int]) -> None:
+    def fault_drop(self, tenant: Optional[int], n: int = 1) -> None:
         pass
+
+
+#: The disabled meter every :class:`~repro.sim.kernel.Simulator` starts
+#: with (and any component without a simulator uses).
+NULL_METER = NullMeter()
 
 
 class TenantMeter:
@@ -94,9 +99,9 @@ class TenantMeter:
         key = (UNATTRIBUTED if tenant is None else tenant, reason)
         self.drops[key] = self.drops.get(key, 0) + n
 
-    def fault_drop(self, tenant: Optional[int]) -> None:
+    def fault_drop(self, tenant: Optional[int], n: int = 1) -> None:
         t = UNATTRIBUTED if tenant is None else tenant
-        self.fault_drops[t] = self.fault_drops.get(t, 0) + 1
+        self.fault_drops[t] = self.fault_drops.get(t, 0) + n
 
     def totals(self) -> Dict[str, dict]:
         """A point-in-time copy of every accumulator (window harvest)."""

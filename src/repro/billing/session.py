@@ -6,9 +6,10 @@ A :class:`MeteringSession` is armed just before traffic starts (by
 scenario asked for metering, or directly by a test).  It owns three
 instruments:
 
-- a :class:`~repro.billing.meter.TenantMeter` tap installed as the
-  process-global ``billing.METER`` -- per-packet exact CPU, PCIe bytes
-  and classified drops straight from the dataplane;
+- a :class:`~repro.billing.meter.TenantMeter` tap put on the
+  deployment's simulator as ``sim.meter`` while armed -- per-packet
+  exact CPU, PCIe bytes and classified drops straight from that
+  simulator's dataplane (and no other's);
 - a *window* :class:`~repro.core.accounting.NetworkingMeter` snapshot/
   read-cycled at every ``interval`` tick of simulated time -- the
   billable (provider-computable) attribution;
@@ -27,11 +28,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro import billing as _billing
 from repro import obs as _obs
 from repro.billing import attribution
 from repro.billing.audit import reconcile
-from repro.billing.meter import TenantMeter, UsageRecord
+from repro.billing.meter import NULL_METER, TenantMeter, UsageRecord
 from repro.core.accounting import NetworkingMeter
 from repro.scenario.context import current as current_context
 
@@ -51,6 +51,9 @@ class MeteringSession:
         self._window = NetworkingMeter(deployment)
         self._truth = NetworkingMeter(deployment)
         self._tap_prev: Dict[str, dict] = self._tap.totals()
+        #: The simulator's meter before :meth:`arm`, restored by
+        #: :meth:`finish`.
+        self._prev_meter = NULL_METER
         self._win_t0 = 0.0
         self._ticker = None
         self._finished = False
@@ -59,12 +62,14 @@ class MeteringSession:
     # -- lifecycle ---------------------------------------------------------
 
     def arm(self, horizon: float) -> None:
-        """Install the tap and start windowing for ``horizon`` seconds."""
+        """Put the tap on the simulator and start windowing for
+        ``horizon`` seconds."""
         sim = self.deployment.sim
         self._win_t0 = sim.now
         self._window.snapshot()
         self._truth.snapshot()
-        _billing.install(self._tap)
+        self._prev_meter = sim.meter
+        sim.meter = self._tap
         if self.interval > 0:
             self._ticker = sim.every(self.interval, self._close_window,
                                      until=sim.now + horizon)
@@ -77,7 +82,9 @@ class MeteringSession:
         if self._ticker is not None:
             self._ticker.cancel()
         self._close_window()
-        _billing.uninstall(self._tap)
+        sim = self.deployment.sim
+        if sim.meter is self._tap:
+            sim.meter = self._prev_meter
 
         fault_payers = self._charge_faults()
 

@@ -239,7 +239,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
             write_prometheus(registry, args.metrics_out)
             print(f"wrote metrics snapshot to {args.metrics_out}")
     finally:
-        obs.disable_tracing()
+        obs.disable_tracing(deployment.sim)
     return 0
 
 
@@ -432,6 +432,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     import json
     from repro.faults.campaign import scenarios, tabulate
     from repro.faults.plan import FaultPlan, scripted_crash
+    from repro.obs.export import write_jsonl
     from repro.scenario import (
         Engine,
         NullStore,
@@ -464,14 +465,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     print(f"{len(results)} campaigns ({cached} cached): "
           f"{repaired:.0f} repairs, {violations:.0f} invariant violations")
     if args.events_out:
-        count = 0
-        with open(args.events_out, "w") as handle:
-            for spec, result in zip(specs, results):
-                for event in result.events:
-                    handle.write(json.dumps(
-                        {"label": spec.display_label, **event},
-                        sort_keys=True, separators=(",", ":")) + "\n")
-                    count += 1
+        count = write_jsonl(({"label": spec.display_label, **event}
+                             for spec, result in zip(specs, results)
+                             for event in result.events), args.events_out)
         print(f"wrote {count} events to {args.events_out}")
     if args.check and (repaired == 0 or violations > 0):
         print(f"chaos check FAILED: {repaired:.0f} repairs, "
@@ -483,7 +479,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 def cmd_billing(args: argparse.Namespace) -> int:
     """Meter the noisy-neighbor workload across Baseline/L1/L2/L3,
     price it, audit reconciliation, and show who pays for faults."""
-    import json
     from repro.billing import report as billing_report
     from repro.billing.invoice import invoices_from_records
     from repro.billing.meter import UsageRecord
@@ -495,7 +490,7 @@ def cmd_billing(args: argparse.Namespace) -> int:
     )
     from repro.experiments.noisy_neighbor import WORKLOAD, configurations
     from repro.faults.plan import scripted_crash
-    from repro.obs.export import write_invoices_jsonl, write_usage_jsonl
+    from repro.obs.export import write_jsonl
     from repro.scenario import (
         Engine,
         NullStore,
@@ -624,10 +619,10 @@ def cmd_billing(args: argparse.Namespace) -> int:
               file=sys.stderr)
 
     if args.usage_out:
-        count = write_usage_jsonl(all_records, args.usage_out)
+        count = write_jsonl(all_records, args.usage_out)
         print(f"wrote {count} usage records to {args.usage_out}")
     if args.invoices_out:
-        count = write_invoices_jsonl(all_invoices, args.invoices_out)
+        count = write_jsonl(all_invoices, args.invoices_out)
         print(f"wrote {count} invoices to {args.invoices_out}")
 
     if args.check and failures:
@@ -644,6 +639,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.controlplane.plan import ChurnPlan
     from repro.controlplane.workload import default_plan, scenario
     from repro.measure.reporting import Series, Table
+    from repro.obs.export import write_jsonl
     from repro.scenario import (
         Engine,
         NullStore,
@@ -717,11 +713,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
           f"and {v.get('scale_ups', 0.0):.0f} boots")
 
     if args.events_out:
-        with open(args.events_out, "w") as handle:
-            for event in result.events:
-                handle.write(json.dumps(event, sort_keys=True,
-                                        separators=(",", ":")) + "\n")
-        print(f"wrote {len(result.events)} events to {args.events_out}")
+        count = write_jsonl(result.events, args.events_out)
+        print(f"wrote {count} events to {args.events_out}")
 
     if args.check:
         problems = []

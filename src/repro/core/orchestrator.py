@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro import billing as _billing
 from repro.core.controller import CompartmentView
 from repro.core.deployment import Deployment
 from repro.core.spec import ArpMode
@@ -85,16 +84,13 @@ def crash_bridge(bridge) -> dict:
 
         def _blackhole(frame, _bridge=bridge) -> None:
             _bridge.fault_blackhole_drops += 1
-            if _billing.METER.enabled:
-                _billing.METER.fault_drop(getattr(frame, "tenant_id", None))
+            _bridge.meter.fault_drop(getattr(frame, "tenant_id", None))
 
         def _blackhole_batch(batch, _bridge=bridge) -> None:
             n = len(batch)
             _bridge.fault_blackhole_drops += n
-            if _billing.METER.enabled:
-                tenant = getattr(batch.frame, "tenant_id", None)
-                for _ in range(n):
-                    _billing.METER.fault_drop(tenant)
+            _bridge.meter.fault_drop(getattr(batch.frame, "tenant_id", None),
+                                     n)
 
         port.pair.rx.connect(_blackhole)
         # The batched fast path delivers through the batch handler when

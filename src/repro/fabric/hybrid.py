@@ -38,6 +38,7 @@ from repro.fabric.placement import (Placement, TenantReq, place,
                                     validate_placement)
 from repro.fabric.topology import FabricTopology
 from repro.host.cpu import ComputeShare
+from repro.net import packet
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.perfmodel.capacity import (FlowPath, Resource, SolveResult,
                                       solve, solve_with_background)
@@ -398,6 +399,10 @@ class FabricDeployment:
     def run_hybrid(self, duration: float = 0.2,
                    warmup: float = 0.05) -> HybridResult:
         """Fluid background, per-packet foreground on residual pools."""
+        # Frame ids key the per-frame jitter draws; restarting them
+        # makes the run independent of earlier runs in this process
+        # (as TestbedHarness does per harnessed run).
+        packet.reset_frame_ids()
         background = self.solve_background()
         fluid = self.solve_fluid()
         servers = self.study_servers()
@@ -420,6 +425,7 @@ class FabricDeployment:
         """Everything as packets: every tenant instantiated, background
         edges injected as real streams.  Only affordable on small
         fabrics -- this is the hybrid's validation oracle."""
+        packet.reset_frame_ids()
         servers = self.placement.servers_used()
         tenants = sorted(self.req_of)
         cloud = self._subset_cloud(servers, tenants, residual=None)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import obs as _obs
 from repro.net.interfaces import PortPair
 from repro.net.packet import Frame
 from repro.sim.kernel import Simulator
@@ -58,12 +57,12 @@ class VhostPath:
         self.crossings += 1
         frame.stamp(f"{self.name}.h2g")
         frame.charge("vhost", self.costs.latency)
-        _obs.TRACER.vhost(self.name, frame, "h2g", self.costs.latency)
+        self.sim.tracer.vhost(self.name, frame, "h2g", self.costs.latency)
         self.sim.call_later(self.costs.latency, self.guest_side.rx.receive, frame)
 
     def _to_host(self, frame: Frame) -> None:
         self.crossings += 1
         frame.stamp(f"{self.name}.g2h")
         frame.charge("vhost", self.costs.latency)
-        _obs.TRACER.vhost(self.name, frame, "g2h", self.costs.latency)
+        self.sim.tracer.vhost(self.name, frame, "g2h", self.costs.latency)
         self.sim.call_later(self.costs.latency, self.host_side.rx.receive, frame)

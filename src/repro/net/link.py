@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 from typing import Callable, List, Optional, Tuple
 
-from repro import obs as _obs
 from repro.net.interfaces import Port
 from repro.net.packet import Frame, FrameBatch
 from repro.sim.kernel import Simulator
@@ -114,7 +113,8 @@ class Link:
         self.tx_frames += 1
         self.tx_bytes += frame.wire_size()
         self.sim.schedule(arrival, self.dst.receive, frame)
-        _obs.TRACER.link_send(self.name, frame, t, start, tx_done, arrival)
+        self.sim.tracer.link_send(self.name, frame, t, start, tx_done,
+                                  arrival)
         return arrival
 
     def send_batch(self, batch: FrameBatch) -> float:

@@ -9,16 +9,14 @@ The observability layer has three moving parts:
 - :mod:`repro.obs.export` -- JSON-lines span dumps, Prometheus text
   snapshots, and paper-style summary tables.
 
-Two module-level globals are the integration surface the dataplane
-uses:
-
-``TRACER``
-    The active tracer.  By default a :class:`NullTracer` whose hooks
-    are shared no-ops, so instrumentation sites cost one attribute load
-    and an empty call when tracing is off.  Hot paths call it as
-    ``_obs.TRACER.hook(...)`` -- always through the module attribute,
-    never a cached local, so :func:`enable_tracing` takes effect
-    everywhere at once.
+The packet tracer is a tap on the simulator, not a process global:
+every :class:`~repro.sim.kernel.Simulator` carries ``sim.tracer``,
+which starts as the shared :data:`NULL_TRACER` whose hooks are no-ops,
+so an instrumentation site costs two attribute loads and an empty call
+when tracing is off.  :func:`enable_tracing` puts a recording
+:class:`PacketTracer` on one simulator; components reach it through
+their own simulator (``self.sim.tracer.hook(...)``), so tracing one
+deployment never records, re-clocks or slows down another.
 
 ``REGISTRY``
     The process-wide :class:`MetricsRegistry`.  Control-plane events
@@ -33,12 +31,10 @@ Typical use (also what ``repro obs`` does)::
     ... run traffic ...
     journey = tracer.journey(frame.frame_id)
     print(obs.REGISTRY.prometheus_text())
-    obs.disable_tracing()
+    obs.disable_tracing(deployment.sim)
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.obs.metrics import (
     Counter,
@@ -47,68 +43,39 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.obs.trace import NullTracer, PacketTracer, Span, journeys_from_jsonl
+from repro.obs.trace import (
+    NULL_TRACER,
+    NullTracer,
+    PacketTracer,
+    Span,
+    journeys_from_jsonl,
+)
 from repro.obs import integrate as _integrate
-
-#: The active tracer; swapped by enable_tracing()/disable_tracing().
-TRACER = NullTracer()
 
 #: The process-wide metrics registry.
 REGISTRY = MetricsRegistry()
 
-#: When true, TestbedHarness.run prints the per-tenant per-component
-#: summary tables after every run (set by the ``repro obs`` CLI).
-PRINT_RUN_SUMMARY = False
 
-
-def enable_tracing(sim=None, capacity: int = 1_000_000) -> PacketTracer:
-    """Swap in a recording tracer, bound to ``sim``'s clock when given.
-    Returns the tracer (also reachable as ``repro.obs.TRACER``)."""
-    global TRACER
-    tracer = PacketTracer(clock=(lambda: sim.now) if sim is not None else None,
-                          capacity=capacity, sim=sim)
-    TRACER = tracer
-    if sim is not None:
-        REGISTRY.set_clock(lambda: sim.now)
+def enable_tracing(sim, capacity: int = 1_000_000) -> PacketTracer:
+    """Put a recording tracer on ``sim`` and bind the registry to its
+    clock.  Returns the tracer (also reachable as ``sim.tracer``)."""
+    tracer = PacketTracer(sim, capacity=capacity)
+    sim.tracer = tracer
+    REGISTRY.set_clock(lambda: sim.now)
     return tracer
 
 
-def disable_tracing() -> None:
-    """Restore the zero-cost no-op tracer."""
-    global TRACER
-    TRACER = NullTracer()
-
-
-def tracing_enabled() -> bool:
-    return TRACER.enabled
-
-
-def set_print_run_summary(on: bool) -> None:
-    global PRINT_RUN_SUMMARY
-    PRINT_RUN_SUMMARY = on
+def disable_tracing(sim) -> None:
+    """Restore ``sim``'s zero-cost no-op tracer."""
+    sim.tracer = NULL_TRACER
 
 
 def on_deployment_built(deployment) -> None:
-    """Bind the registry (and an active tracer) to a new deployment's
-    simulation clock.  Called by ``build_deployment``; with several live
-    deployments the most recently built one owns the clock."""
+    """Bind the registry to a new deployment's simulation clock.
+    Called by ``build_deployment``; with several live deployments the
+    most recently built one owns the registry's clock."""
     sim = deployment.sim
     REGISTRY.set_clock(lambda: sim.now)
-    if TRACER.enabled:
-        TRACER.bind_sim(sim)
-
-
-def on_run_complete(harness, result) -> None:
-    """Called by ``TestbedHarness.run`` after every run: harvest cache
-    stats into the registry, notify the tracer, and (when enabled)
-    print the per-tenant per-component summary tables."""
-    _integrate.harvest(harness.deployment, REGISTRY)
-    TRACER.run_complete(harness, result)
-    if PRINT_RUN_SUMMARY and TRACER.enabled:
-        from repro.obs.export import tenant_hop_table, tenant_latency_table
-        print(tenant_latency_table(TRACER).render())
-        print()
-        print(tenant_hop_table(TRACER).render())
 
 
 # Re-exported integration helpers (the documented public surface).
@@ -124,18 +91,15 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "NULL_TRACER",
     "NullTracer",
     "PacketTracer",
     "Span",
     "journeys_from_jsonl",
-    "TRACER",
     "REGISTRY",
     "enable_tracing",
     "disable_tracing",
-    "tracing_enabled",
-    "set_print_run_summary",
     "on_deployment_built",
-    "on_run_complete",
     "harvest",
     "harvest_fabric",
     "fabric_gauges",

@@ -39,7 +39,9 @@ def write_prometheus(registry: MetricsRegistry, path: str) -> None:
         handle.write(registry.prometheus_text())
 
 
-def _write_dicts_jsonl(items, path: str) -> int:
+def write_jsonl(items, path: str) -> int:
+    """Dump records (objects with ``to_dict`` or plain dicts) as compact
+    sorted-key JSON-lines, one record per line; returns the count."""
     count = 0
     with open(path, "w") as handle:
         for item in items:
@@ -49,17 +51,6 @@ def _write_dicts_jsonl(items, path: str) -> int:
             handle.write("\n")
             count += 1
     return count
-
-
-def write_usage_jsonl(records, path: str) -> int:
-    """Dump usage records (``UsageRecord`` objects or their dicts) as
-    JSON-lines, one window-tenant entry per line; returns the count."""
-    return _write_dicts_jsonl(records, path)
-
-
-def write_invoices_jsonl(invoices, path: str) -> int:
-    """Dump per-tenant invoices as JSON-lines; returns the count."""
-    return _write_dicts_jsonl(invoices, path)
 
 
 def _tenant_label(tenant: Optional[int]) -> str:

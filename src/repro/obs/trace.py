@@ -9,11 +9,13 @@ carry the frame id as trace context (stable along a unicast journey;
 :meth:`Frame.copy` on multicast fan-out starts a new trace) plus the
 tenant id, so journeys can be grouped per tenant.
 
-The disabled default is :class:`NullTracer`: every hook is the same
-shared no-op, so an instrumentation site costs its callers exactly one
-attribute load and an empty call -- there are no conditionals in the
-hot paths.  :func:`repro.obs.enable_tracing` swaps in a recording
-:class:`PacketTracer` bound to the simulation clock.
+The tracer is a tap on one :class:`~repro.sim.kernel.Simulator`
+(``sim.tracer``), so two simulators in one process never share spans.
+The default is the shared :data:`NULL_TRACER`: every hook is the same
+no-op, so an instrumentation site costs its callers two attribute loads
+and an empty call -- there are no conditionals in the hot paths.
+:func:`repro.obs.enable_tracing` puts a recording :class:`PacketTracer`
+on the simulator; its spans read that simulator's clock.
 
 Span ordering is total and deterministic: every span gets a global
 sequence number at record time, so spans sharing one simulated
@@ -24,7 +26,7 @@ still replay in exact causal order.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 
 class Span:
@@ -87,7 +89,6 @@ class NullTracer:
 
     enabled = False
 
-    kernel_run = staticmethod(_noop)
     link_send = staticmethod(_noop)
     flow_lookup = staticmethod(_noop)
     bridge_rx = staticmethod(_noop)
@@ -96,7 +97,11 @@ class NullTracer:
     nic_filter = staticmethod(_noop)
     vhost = staticmethod(_noop)
     drop = staticmethod(_noop)
-    run_complete = staticmethod(_noop)
+
+
+#: The disabled tracer every :class:`~repro.sim.kernel.Simulator` starts
+#: with (and any component without a simulator uses).
+NULL_TRACER = NullTracer()
 
 
 #: Raw-record tags: which hook produced a pending record (the
@@ -130,12 +135,10 @@ class PacketTracer:
 
     enabled = True
 
-    def __init__(self, clock: Optional[Callable[[], float]] = None,
-                 capacity: int = 1_000_000, sim=None) -> None:
-        self._clock: Callable[[], float] = clock or (lambda: 0.0)
-        #: When bound to a Simulator, hooks read ``sim._now`` directly:
-        #: one attribute load instead of a closure call plus a property
-        #: descriptor per span.
+    def __init__(self, sim, capacity: int = 1_000_000) -> None:
+        #: The simulator whose clock stamps the spans; hooks read
+        #: ``sim._now`` directly (one attribute load instead of a
+        #: property descriptor per span).
         self._sim = sim
         self.capacity = capacity
         self._raw: List[tuple] = []
@@ -145,18 +148,6 @@ class PacketTracer:
         self._count = 0
         self.spans_dropped = 0
         self._seq = 0
-        #: Kernel progress samples: (sim_now, events_fired, heap_depth,
-        #: wall_seconds) per ``Simulator.run`` return.
-        self.kernel_samples: List[Tuple[float, int, int, float]] = []
-
-    def set_clock(self, clock: Callable[[], float]) -> None:
-        self._clock = clock
-        self._sim = None
-
-    def bind_sim(self, sim) -> None:
-        """Bind the hot-path clock to ``sim`` (see ``_sim`` above)."""
-        self._sim = sim
-        self._clock = lambda: sim.now
 
     # -- recording core ----------------------------------------------------
 
@@ -228,12 +219,6 @@ class PacketTracer:
 
     # -- hooks (called from the instrumented hot paths) --------------------
 
-    def kernel_run(self, sim_now: float, events_fired: int,
-                   heap_depth: int, wall_seconds: float) -> None:
-        """One ``Simulator.run`` call completed (wall-vs-sim progress)."""
-        self.kernel_samples.append(
-            (sim_now, events_fired, heap_depth, wall_seconds))
-
     def link_send(self, name: str, frame, t_submit: float, t_start: float,
                   t_done: float, t_arrival: float) -> None:
         """A frame was handed to a link: an enqueue span (head-of-line
@@ -264,10 +249,9 @@ class PacketTracer:
         ``plan`` (replayed from the bridge's pass-plan cache)."""
         if self._count < self.capacity:
             self._count += 1
-            sim = self._sim
             self._raw.append((_T_FLOW, frame.frame_id, table_name,
-                              sim._now if sim is not None else self._clock(),
-                              rule, source, in_port, frame.tenant_id))
+                              self._sim._now, rule, source, in_port,
+                              frame.tenant_id))
         else:
             self.spans_dropped += 1
 
@@ -275,10 +259,9 @@ class PacketTracer:
                   plan_cached: bool) -> None:
         if self._count < self.capacity:
             self._count += 1
-            sim = self._sim
             self._raw.append((_T_BRIDGE_RX, frame.frame_id, bridge_name,
-                              sim._now if sim is not None else self._clock(),
-                              plan_cached, port_no, frame.tenant_id))
+                              self._sim._now, plan_cached, port_no,
+                              frame.tenant_id))
         else:
             self.spans_dropped += 1
 
@@ -286,8 +269,7 @@ class PacketTracer:
                   t_rx: Optional[float] = None) -> None:
         if self._count < self.capacity:
             self._count += 1
-            sim = self._sim
-            now = sim._now if sim is not None else self._clock()
+            now = self._sim._now
             start = now if t_rx is None else t_rx
             self._raw.append((_T_BRIDGE_TX, frame.frame_id, bridge_name,
                               start, now, port_no, frame.tenant_id))
@@ -301,10 +283,9 @@ class PacketTracer:
         lazily at materialization."""
         if self._count < self.capacity:
             self._count += 1
-            sim = self._sim
             self._raw.append((_T_VEB, frame.frame_id, veb_name,
-                              sim._now if sim is not None else self._clock(),
-                              ingress, vlan, decision, frame.tenant_id))
+                              self._sim._now, ingress, vlan, decision,
+                              frame.tenant_id))
         else:
             self.spans_dropped += 1
 
@@ -315,10 +296,9 @@ class PacketTracer:
         ``unconfigured``)."""
         if self._count < self.capacity:
             self._count += 1
-            sim = self._sim
             self._raw.append((_T_NIC_FILTER, frame.frame_id, nic_port,
-                              sim._now if sim is not None else self._clock(),
-                              vf_name, verdict, frame.tenant_id))
+                              self._sim._now, vf_name, verdict,
+                              frame.tenant_id))
         else:
             self.spans_dropped += 1
 
@@ -326,10 +306,9 @@ class PacketTracer:
               latency: float) -> None:
         if self._count < self.capacity:
             self._count += 1
-            sim = self._sim
             self._raw.append((_T_VHOST, frame.frame_id, name,
-                              sim._now if sim is not None else self._clock(),
-                              direction, latency, frame.tenant_id))
+                              self._sim._now, direction, latency,
+                              frame.tenant_id))
         else:
             self.spans_dropped += 1
 
@@ -337,16 +316,10 @@ class PacketTracer:
         """A frame left the chain: where and why."""
         if self._count < self.capacity:
             self._count += 1
-            sim = self._sim
             self._raw.append((_T_DROP, frame.frame_id, component,
-                              sim._now if sim is not None else self._clock(),
-                              reason, frame.tenant_id))
+                              self._sim._now, reason, frame.tenant_id))
         else:
             self.spans_dropped += 1
-
-    def run_complete(self, harness, result) -> None:
-        """Hook point for end-of-run reporting (see repro.obs.enable)."""
-        return None
 
     # -- queries -----------------------------------------------------------
 
@@ -390,7 +363,6 @@ class PacketTracer:
         self._raw.clear()
         self._spans.clear()
         self._count = 0
-        self.kernel_samples.clear()
         self.spans_dropped = 0
 
 

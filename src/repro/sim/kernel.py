@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import heapq
-import time
 from typing import Any, Callable, Optional
 
-from repro import obs as _obs
+from repro.billing.meter import NULL_METER
 from repro.errors import SimulationError
+from repro.obs.trace import NULL_TRACER
 from repro.sim.events import Event
 
 
@@ -67,6 +67,13 @@ class Simulator:
     reference to the simulator and schedule work with :meth:`schedule`
     (absolute time) or :meth:`call_later` (relative delay).
 
+    The simulator also carries its run's telemetry taps: ``tracer``
+    (a :class:`~repro.obs.trace.PacketTracer` while traced) and
+    ``meter`` (a :class:`~repro.billing.meter.TenantMeter` while
+    metered).  Both start as shared no-ops; components reach them
+    through the simulator they run on, so taps on one simulator never
+    see another's traffic.
+
     Example::
 
         sim = Simulator()
@@ -83,6 +90,8 @@ class Simulator:
         self._heap: list[tuple[float, int, Event]] = []
         self._events_fired = 0
         self._running = False
+        self.tracer = NULL_TRACER
+        self.meter = NULL_METER
 
     @property
     def now(self) -> float:
@@ -136,7 +145,6 @@ class Simulator:
             raise SimulationError("run() re-entered; the kernel is not reentrant")
         self._running = True
         fired = 0
-        wall_start = time.perf_counter()
         try:
             while self._heap:
                 event = self._heap[0][2]
@@ -156,9 +164,6 @@ class Simulator:
             self._running = False
         if until is not None and self._now < until:
             self._now = until
-        _obs.TRACER.kernel_run(self._now, self._events_fired,
-                               len(self._heap),
-                               time.perf_counter() - wall_start)
         return fired
 
     def peek(self) -> Optional[float]:

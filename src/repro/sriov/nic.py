@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro import billing as _billing
-from repro import obs as _obs
 from repro.errors import ConfigurationError, VFExhaustedError
 from repro.net.addresses import MacAddress
 from repro.net.interfaces import Port
@@ -204,46 +202,50 @@ class NicPort:
         vf.stats.tx_bytes += frame.wire_size()
         if vf.mac is None:
             self.drops.unconfigured_vf += 1
-            _obs.TRACER.nic_filter(self._label, vf.name, frame,
-                                   "unconfigured")
-            if _billing.METER.enabled:
-                _billing.METER.drop(frame.tenant_id, "nic_unconfigured")
+            self._reject(vf, frame, "unconfigured", "nic_unconfigured")
             return
         if not SpoofCheck.permits(vf, frame):
             vf.stats.spoof_drops += 1
             self.drops.spoof += 1
-            _obs.TRACER.nic_filter(self._label, vf.name, frame,
-                                   "spoof_drop")
-            if _billing.METER.enabled:
-                _billing.METER.drop(frame.tenant_id, "nic_spoof")
+            self._reject(vf, frame, "spoof_drop", "nic_spoof")
             return
+        sim = self.nic.sim
         bucket = self._buckets.get(vf.name)
-        if bucket is not None and not bucket.allow(self.nic.sim.now):
+        if bucket is not None and not bucket.allow(sim.now):
             vf.stats.rate_limit_drops += 1
             self.drops.rate_limited += 1
-            _obs.TRACER.nic_filter(self._label, vf.name, frame,
-                                   "rate_limited")
-            if _billing.METER.enabled:
-                _billing.METER.drop(frame.tenant_id, "nic_rate_limited")
+            self._reject(vf, frame, "rate_limited", "nic_rate_limited")
             return
         if self.nic.filters.evaluate(vf, frame) == FilterAction.DROP:
             vf.stats.filter_drops += 1
             self.drops.filtered += 1
-            _obs.TRACER.nic_filter(self._label, vf.name, frame,
-                                   "filter_drop")
-            if _billing.METER.enabled:
-                _billing.METER.drop(frame.tenant_id, "nic_filtered")
+            self._reject(vf, frame, "filter_drop", "nic_filtered")
             return
-        _obs.TRACER.nic_filter(self._label, vf.name, frame, "pass")
+        sim.tracer.nic_filter(self._label, vf.name, frame, "pass")
         frame.stamp(self._in_stamp(vf.name))
         domain = self.veb.domain_of(vf)
         # VM -> NIC DMA has already been paid conceptually by the VM's
         # transmit; we charge the crossing once here (ingress direction).
-        delay = (self.nic.pcie.transfer_time(frame.wire_size(),
-                                             tenant=frame.tenant_id)
-                 + VEB_LATENCY)
+        delay = self._dma(frame) + VEB_LATENCY
         frame.charge("nic", delay)
-        self.nic.sim.call_later(delay, self._switch, vf.name, domain, frame)
+        sim.call_later(delay, self._switch, vf.name, domain, frame)
+
+    def _reject(self, vf: VirtualFunction, frame: Frame, verdict: str,
+                reason: str) -> None:
+        """Trace and meter a security-chain drop of one VF transmit."""
+        sim = self.nic.sim
+        sim.tracer.nic_filter(self._label, vf.name, frame, verdict)
+        if sim.meter.enabled:
+            sim.meter.drop(frame.tenant_id, reason)
+
+    def _dma(self, frame: Frame, n: int = 1) -> float:
+        """One PCIe crossing of ``n`` copies of ``frame``: meters the
+        bytes to the frame's tenant and returns the DMA delay."""
+        wire = frame.wire_size()
+        meter = self.nic.sim.meter
+        if meter.enabled and frame.tenant_id is not None:
+            meter.pcie(frame.tenant_id, wire * n)
+        return self.nic.pcie.transfer_time(wire, n)
 
     def _receive_from_fabric(self, frame: Frame) -> None:
         """Frame arrived from the wire."""
@@ -253,14 +255,17 @@ class NicPort:
         self.nic.sim.call_later(VEB_LATENCY, self._switch, UPLINK, domain, frame)
 
     def _switch(self, ingress: str, domain: int, frame: Frame) -> None:
-        decision = self.veb.forward(ingress, domain, frame, now=self.nic.sim.now)
+        sim = self.nic.sim
+        decision = self.veb.forward(ingress, domain, frame, now=sim.now)
+        sim.tracer.veb_forward(self.veb.name, frame, ingress, domain,
+                               decision)
         if not decision.destinations:
             self.drops.no_destination += 1
-            _obs.TRACER.drop(self._label, frame,
-                             "no_destination" if decision.reason != "hairpin"
-                             else "hairpin")
-            if _billing.METER.enabled:
-                _billing.METER.drop(frame.tenant_id, "nic_no_destination")
+            sim.tracer.drop(self._label, frame,
+                            "no_destination" if decision.reason != "hairpin"
+                            else "hairpin")
+            if sim.meter.enabled:
+                sim.meter.drop(frame.tenant_id, "nic_no_destination")
             return
         self.frames_switched += 1
         for dest in decision.destinations:
@@ -273,7 +278,7 @@ class NicPort:
     def _to_fabric(self, domain: int, frame: Frame) -> None:
         if self.fabric_link is None:
             self.drops.no_destination += 1
-            _obs.TRACER.drop(self._label, frame, "no_fabric_link")
+            self.nic.sim.tracer.drop(self._label, frame, "no_fabric_link")
             return
         # Untagged-domain frames leave untagged; tagged domains keep the
         # 802.1Q tag on the wire.
@@ -291,8 +296,7 @@ class NicPort:
         func.stats.rx_frames += 1
         func.stats.rx_bytes += frame.wire_size()
         frame.stamp(self._out_stamp(func.name))
-        delay = self.nic.pcie.transfer_time(frame.wire_size(),
-                                            tenant=frame.tenant_id)
+        delay = self._dma(frame)
         frame.charge("nic", delay)
         self.nic.sim.call_later(delay, func.port.rx.receive, frame)
 
@@ -322,7 +326,7 @@ class NicPort:
         wire = frame.wire_size()
         vf.stats.tx_frames += n
         vf.stats.tx_bytes += wire * n
-        meter = _billing.METER
+        meter = self.nic.sim.meter
         if vf.mac is None:
             self.drops.unconfigured_vf += n
             if meter.enabled:
@@ -341,9 +345,7 @@ class NicPort:
                 meter.drop(frame.tenant_id, "nic_filtered", n)
             return
         domain = self.veb.domain_of(vf)
-        delay = (self.nic.pcie.transfer_time(wire, frame.tenant_id, n)
-                 + VEB_LATENCY)
-        batch.advance(delay)
+        batch.advance(self._dma(frame, n) + VEB_LATENCY)
         self._switch_batch(vf.name, domain, batch)
 
     def _receive_from_fabric_batch(self, batch: FrameBatch) -> None:
@@ -360,9 +362,9 @@ class NicPort:
         dests = decision.destinations
         if not dests:
             self.drops.no_destination += n
-            if _billing.METER.enabled:
-                _billing.METER.drop(batch.frame.tenant_id,
-                                    "nic_no_destination", n)
+            meter = self.nic.sim.meter
+            if meter.enabled:
+                meter.drop(batch.frame.tenant_id, "nic_no_destination", n)
             return
         self.frames_switched += n
         if len(dests) == 1:
@@ -398,8 +400,7 @@ class NicPort:
         wire = frame.wire_size()
         func.stats.rx_frames += n
         func.stats.rx_bytes += wire * n
-        batch.advance(
-            self.nic.pcie.transfer_time(wire, frame.tenant_id, n))
+        batch.advance(self._dma(frame, n))
         func.port.rx.receive_batch(batch, self.nic.sim)
 
 

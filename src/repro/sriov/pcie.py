@@ -12,9 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
-
-from repro import billing as _billing
 from repro.units import GBPS, USEC
 
 
@@ -69,21 +66,13 @@ class PcieBus:
         """
         return self.gen.per_lane_bps * self.lanes * USABLE_FRACTION
 
-    def transfer_time(self, size_bytes: int, tenant: Optional[int] = None,
-                      n: int = 1) -> float:
+    def transfer_time(self, size_bytes: int, n: int = 1) -> float:
         """DMA ``n`` same-size frames across the bus: each pays the same
         latency + serialization (returned once); byte accounting covers
-        all ``n``.
-
-        ``tenant`` attributes the crossing to a tenant when metering is
-        on; timing is unaffected.
-        """
+        all ``n``.  Per-tenant metering is the NIC port's job."""
         if size_bytes < 0:
             raise ValueError(f"negative transfer size: {size_bytes}")
-        total = size_bytes * n
-        self.bytes_transferred += total
-        if _billing.METER.enabled and tenant is not None:
-            _billing.METER.pcie(tenant, total)
+        self.bytes_transferred += size_bytes * n
         return DMA_LATENCY + size_bytes * 8.0 / self.effective_bandwidth_bps()
 
     def capacity_pps(self, frame_bytes: int) -> float:

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro import obs as _obs
 from repro.net.addresses import MacAddress
 from repro.net.packet import Frame
 from repro.sriov.vf import VirtualFunction
@@ -175,10 +174,8 @@ class VebSwitch:
             entry = self._table.get((vlan, frame.src_mac))
             if entry is not None and not entry.static:
                 entry.last_seen = now
-            decision = ForwardingDecision(destinations=list(dests),
-                                          flooded=flooded, reason=reason)
-            _obs.TRACER.veb_forward(self.name, frame, ingress, vlan, decision)
-            return decision
+            return ForwardingDecision(destinations=list(dests),
+                                      flooded=flooded, reason=reason)
         before = (self.lookups, self.floods, self.unknown_unicasts)
         decision = self._forward_uncached(ingress, vlan, frame, now)
         deltas = (self.lookups - before[0], self.floods - before[1],
@@ -194,7 +191,6 @@ class VebSwitch:
             self.lookups += deltas[0] * rest
             self.floods += deltas[1] * rest
             self.unknown_unicasts += deltas[2] * rest
-        _obs.TRACER.veb_forward(self.name, frame, ingress, vlan, decision)
         return decision
 
     def peek_destinations(self, ingress: str, vlan: int,

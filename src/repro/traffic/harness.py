@@ -141,7 +141,7 @@ class TestbedHarness:
         # at arbitrary sim times, and a batch whose members straddle
         # one would deliver or drop as a unit where the oracle splits
         # it at the instant.
-        if (self.batch and not _obs.TRACER.enabled
+        if (self.batch and not self.sim.tracer.enabled
                 and self.deployment.wiring_stable
                 and self.lg.supports_batching()
                 and self.deployment.supports_batched_fastpath()):
@@ -174,7 +174,7 @@ class TestbedHarness:
             latencies=self.monitor.latencies_in_window(t0, t1),
             window=(t0, t1),
         )
-        _obs.on_run_complete(self, result)
+        _obs.harvest(self.deployment, _obs.REGISTRY)
         if chaos_session is not None:
             chaos_session.finish()
         if meter_session is not None:

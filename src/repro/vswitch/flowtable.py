@@ -36,9 +36,9 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro import obs as _obs
 from repro.errors import FlowTableError
 from repro.net.packet import Frame
+from repro.obs.trace import NULL_TRACER
 from repro.vswitch.actions import Action, ActionType
 from repro.vswitch.matches import FlowMatch
 from repro.vswitch.megaflow import emc_signature
@@ -297,8 +297,11 @@ class FlowTable:
 
     # -- lookup ------------------------------------------------------------
 
-    def lookup(self, frame: Frame, in_port: int) -> Optional[FlowRule]:
-        """Highest-priority matching rule, updating its counters."""
+    def lookup(self, frame: Frame, in_port: int,
+               tracer=NULL_TRACER) -> Optional[FlowRule]:
+        """Highest-priority matching rule, updating its counters.
+        ``tracer`` is the owning bridge's (a standalone table traces
+        nothing)."""
         self.lookups += 1
         if self.fastpath:
             key = emc_signature(frame, in_port)
@@ -317,7 +320,7 @@ class FlowTable:
         else:
             rule = self._linear_scan(frame, in_port)
             source = "linear"
-        _obs.TRACER.flow_lookup(self.name, frame, in_port, rule, source)
+        tracer.flow_lookup(self.name, frame, in_port, rule, source)
         if rule is None:
             self.misses += 1
             return None

@@ -21,13 +21,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro import billing as _billing
-from repro import obs as _obs
+from repro.billing.meter import NULL_METER
 from repro.errors import ConfigurationError
 from repro.host.cpu import ComputeShare
 from repro.net.addresses import MacAddress
 from repro.net.interfaces import PortPair
 from repro.net.packet import Frame, FrameBatch
+from repro.obs.trace import NULL_TRACER
 from repro.sim.hashjit import HashJitter
 from repro.sim.kernel import Simulator
 from repro.sim.resources import BatchFairStation, FairServiceStation
@@ -535,6 +535,18 @@ class OvsBridge:
                 lambda batch, p=port: self._ingress_batch(p, batch))
 
     @property
+    def tracer(self):
+        """The simulator's packet tracer; a functional (sim-less)
+        bridge traces nothing."""
+        return NULL_TRACER if self.sim is None else self.sim.tracer
+
+    @property
+    def meter(self):
+        """The simulator's metering tap; a functional bridge meters
+        nothing."""
+        return NULL_METER if self.sim is None else self.sim.meter
+
+    @property
     def num_cores(self) -> int:
         return len(self._shares)
 
@@ -550,18 +562,19 @@ class OvsBridge:
         frame.stamp(port.rx_stamp)
         key = emc_signature(frame, port.port_no)
         template = self._plan_cache.get(key)
-        _obs.TRACER.bridge_rx(self.name, frame, port.port_no,
-                              template is not None)
+        tracer = self.tracer
+        tracer.bridge_rx(self.name, frame, port.port_no, template is not None)
         if template is not None:
             self.plan_cache_hits += 1
-            plan = self._replay(template, port, frame)
+            plan = self._replay(template, port, frame, tracer)
         else:
-            plan = self._pipeline(port, frame, cache_key=key)
+            plan = self._pipeline(port, frame, tracer, cache_key=key)
         if plan.dropped:
-            _obs.TRACER.drop(self.name, frame, plan.drop_reason or "consumed")
-            if _billing.METER.enabled:
-                _billing.METER.drop(frame.tenant_id,
-                                    plan.drop_reason or "consumed")
+            reason = plan.drop_reason or "consumed"
+            tracer.drop(self.name, frame, reason)
+            meter = self.meter
+            if meter.enabled:
+                meter.drop(frame.tenant_id, reason)
             return
         self.passes += 1
         if not self._stations:
@@ -574,7 +587,7 @@ class OvsBridge:
     MAX_PIPELINE_DEPTH = 16
 
     def _replay(self, template: _PlanTemplate, port: BridgePort,
-                frame: Frame) -> _ForwardPlan:
+                frame: Frame, tracer) -> _ForwardPlan:
         """Apply a cached pass plan to a fresh frame, reproducing the
         uncached walk's counters and header mutations exactly."""
         self._learn(frame.src_mac, port.port_no)
@@ -583,13 +596,13 @@ class OvsBridge:
                 target.lookups += 1
                 rule.n_packets += 1
                 rule.n_bytes += frame.wire_size()
-                _obs.TRACER.flow_lookup(target.name, frame, port.port_no,
-                                        rule, "plan")
+                tracer.flow_lookup(target.name, frame, port.port_no, rule,
+                                   "plan")
             elif op == _MISS:
                 target.lookups += 1
                 target.misses += 1
-                _obs.TRACER.flow_lookup(target.name, frame, port.port_no,
-                                        None, "plan")
+                tracer.flow_lookup(target.name, frame, port.port_no, None,
+                                   "plan")
             else:
                 target.apply(frame)
         if template.drop_kind == "no_match":
@@ -605,7 +618,7 @@ class OvsBridge:
                             dropped=template.dropped,
                             drop_reason=reason)
 
-    def _pipeline(self, port: BridgePort, frame: Frame,
+    def _pipeline(self, port: BridgePort, frame: Frame, tracer,
                   cache_key: Optional[tuple] = None) -> _ForwardPlan:
         """Run the (multi-table) flow pipeline.
 
@@ -630,7 +643,7 @@ class OvsBridge:
                 raise ConfigurationError(
                     f"pipeline deeper than {self.MAX_PIPELINE_DEPTH} tables")
             table = self.tables.get(table_id)
-            rule = (table.lookup(frame, port.port_no)
+            rule = (table.lookup(frame, port.port_no, tracer)
                     if table is not None else None)
             if rule is None:
                 if table is not None:
@@ -741,7 +754,7 @@ class OvsBridge:
 
     def _execute(self, plan: _ForwardPlan) -> None:
         """Apply mutations and transmit on the egress port(s)."""
-        meter = _billing.METER
+        meter = self.meter
         if meter.enabled:
             # Exact per-packet CPU attribution: the station spent the
             # plan's calibrated service time on this tenant's frame.
@@ -755,6 +768,7 @@ class OvsBridge:
             elapsed = self.sim.now - plan._t_dispatch
             queued = max(0.0, elapsed - plan._pass_wait - plan._service_time)
             plan.frame.charge("vswitch.queue", queued)
+        tracer = self.tracer
         for i, port_no in enumerate(plan.out_ports):
             port = self._ports.get(port_no)
             if port is None:
@@ -762,7 +776,7 @@ class OvsBridge:
             frame = plan.frame if i == len(plan.out_ports) - 1 else plan.frame.copy()
             port.tx_frames += 1
             frame.stamp(port.tx_stamp)
-            _obs.TRACER.bridge_tx(self.name, frame, port_no)
+            tracer.bridge_tx(self.name, frame, port_no)
             port.pair.transmit(frame)
 
     # -- batched dataplane -------------------------------------------------
@@ -802,9 +816,9 @@ class OvsBridge:
         self.plan_cache_hits += n
         plan = self._replay_batch(template, port, frame, n)
         if plan.dropped:
-            if _billing.METER.enabled:
-                _billing.METER.drop(frame.tenant_id,
-                                    plan.drop_reason or "consumed", n)
+            meter = self.meter
+            if meter.enabled:
+                meter.drop(frame.tenant_id, plan.drop_reason or "consumed", n)
             return
         self.passes += n
         self._dispatch_batch(plan, batch)
@@ -896,7 +910,7 @@ class OvsBridge:
         batch = group.batch
         idx = group._done_idx
         n = len(idx)
-        meter = _billing.METER
+        meter = self.meter
         if meter.enabled:
             svc = group.svc
             meter.cpu(batch.frame.tenant_id,

@@ -5,10 +5,16 @@ import math
 
 import pytest
 
-from repro import billing, obs
+from repro import obs
 from repro.billing import attribution
 from repro.billing.invoice import invoices_from_records
-from repro.billing.meter import UNATTRIBUTED, NullMeter, TenantMeter, UsageRecord
+from repro.billing.meter import (
+    NULL_METER,
+    UNATTRIBUTED,
+    NullMeter,
+    TenantMeter,
+    UsageRecord,
+)
 from repro.billing.session import MeteringSession
 from repro.core import (
     ResourceMode,
@@ -25,9 +31,8 @@ from tests.conftest import make_spec
 
 @pytest.fixture(autouse=True)
 def _clean_billing():
-    """Every test leaves the module-level tap and registry pristine."""
+    """Every test leaves the process-wide registry pristine."""
     yield
-    billing.METER = NullMeter()
     obs.REGISTRY.reset()
 
 
@@ -229,8 +234,27 @@ class TestReconciliation:
             assert windowed_io.get(usage.tenant_id, 0) == usage.io_bytes
 
     def test_tap_uninstalled_after_finish(self):
-        metered_run(SecurityLevel.LEVEL_1)
-        assert not billing.METER.enabled
+        d, _summary, _records, _truth = metered_run(SecurityLevel.LEVEL_1)
+        assert not d.sim.meter.enabled
+        assert d.sim.meter is NULL_METER
+
+    def test_session_meters_only_its_own_simulator(self):
+        """A session armed on deployment A records nothing while a
+        second deployment B runs traffic on its own simulator."""
+        spec = make_spec(level=SecurityLevel.LEVEL_1)
+        a = build_deployment(spec, TrafficScenario.P2V)
+        b = build_deployment(spec, TrafficScenario.P2V)
+        session = MeteringSession(a, TestbedHarness(a), interval=0.01)
+        session.arm(0.02)
+        tap = a.sim.meter
+        assert isinstance(tap, TenantMeter)
+        assert b.sim.meter is NULL_METER
+        h = TestbedHarness(b)
+        h.configure_tenant_flows(rate_per_flow_pps=2000)
+        assert h.run(duration=0.02).delivered > 0
+        assert all(not totals for totals in tap.totals().values())
+        session.finish()
+        assert a.sim.meter is NULL_METER
 
     def test_finish_is_idempotent(self):
         d = build_deployment(make_spec(level=SecurityLevel.LEVEL_1),
@@ -438,17 +462,17 @@ class TestInvoices:
 
 class TestExporters:
     def test_usage_and_invoice_jsonl_round_trip(self, tmp_path):
-        from repro.obs.export import write_invoices_jsonl, write_usage_jsonl
+        from repro.obs.export import write_jsonl
         records = [UsageRecord(tenant_id=t, compartment=0, t0=0.0, t1=0.01,
                                cpu_seconds=1e-4 * (t + 1), io_bytes=640)
                    for t in range(3)]
         upath = tmp_path / "usage.jsonl"
-        assert write_usage_jsonl(records, str(upath)) == 3
+        assert write_jsonl(records, str(upath)) == 3
         lines = [json.loads(line) for line in
                  upath.read_text().strip().splitlines()]
         assert [l["tenant"] for l in lines] == [0, 1, 2]
         ipath = tmp_path / "invoices.jsonl"
-        assert write_invoices_jsonl(
+        assert write_jsonl(
             invoices_from_records(records), str(ipath)) == 3
         parsed = [json.loads(line) for line in
                   ipath.read_text().strip().splitlines()]

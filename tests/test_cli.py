@@ -87,6 +87,25 @@ class TestExperiments:
         assert "Fig. 5(c)" in out
 
 
+class TestObs:
+    def test_obs_writes_spans_and_metrics(self, capsys, tmp_path):
+        from repro import obs
+        from repro.obs.trace import journeys_from_jsonl
+        spans = tmp_path / "spans.jsonl"
+        metrics = tmp_path / "metrics.prom"
+        try:
+            assert main(["obs", "--level", "l2", "--vms", "2",
+                         "--duration", "0.01", "--trace-out", str(spans),
+                         "--metrics-out", str(metrics)]) == 0
+        finally:
+            obs.REGISTRY.reset()
+        out = capsys.readouterr().out
+        assert "Per-tenant hop counts" in out
+        assert f"spans to {spans}" in out
+        assert journeys_from_jsonl(spans.read_text())
+        assert "sim_events_fired" in metrics.read_text()
+
+
 class TestValidationSurfaced:
     def test_invalid_combo_raises(self):
         from repro.errors import ValidationError

@@ -319,7 +319,6 @@ def _run_fig5(batch, burst, tracing, metering, faulted, duration):
     import math
     from collections import defaultdict
 
-    import repro.billing as billing
     from repro.billing.meter import TenantMeter
     from repro import obs
     from repro.core import SecurityLevel, TrafficScenario, build_deployment
@@ -327,56 +326,50 @@ def _run_fig5(batch, burst, tracing, metering, faulted, duration):
     from repro.scenario.context import RunContext
     from repro.traffic import TestbedHarness
 
-    if metering:
-        billing.install(TenantMeter())
     chaos_scope = (RunContext(_crash_plan(), seed=7) if faulted
                    else contextlib.nullcontext())
     spec = DeploymentSpec(level=SecurityLevel.LEVEL_2, num_vswitch_vms=2)
     d = build_deployment(spec, TrafficScenario.P2V)
     tracer = obs.enable_tracing(d.sim) if tracing else None
-    try:
-        h = TestbedHarness(d, batch=batch)
-        if burst is not None:
-            h.lg.burst = burst
-        h.configure_tenant_flows(rate_per_flow_pps=200_000)
-        with chaos_scope:
-            result = h.run(duration=duration)
-        mon = h.monitor
-        per_flow_eg = defaultdict(int)
-        for _t, f in mon.egress_times:
-            per_flow_eg[f] += 1
-        meter = billing.METER.totals() if metering else None
-        drop_spans = (sorted((s.component, s.outcome, s.trace_id)
-                             for s in tracer.drops())
-                      if tracing else None)
-        bridge_drops = {
-            b.name: (b.drops_no_match, b.drops_action, b.rx_drops(),
-                     b.plan_cache_hits, b.passes)
-            for b in d.bridges
-        }
-        nicd = d.server.nic.total_drops()
-        return {
-            "sent": result.sent,
-            "delivered": result.delivered,
-            "per_flow": dict(h.sink.per_flow),
-            "samples_tin": sorted((s.flow_id, round(s.t_in, 12))
-                                  for s in mon.samples),
-            "tout_by_key": {(s.flow_id, round(s.t_in, 12)): s.t_out
-                            for s in mon.samples},
-            "eg_count": dict(per_flow_eg),
-            "bridge_drops": bridge_drops,
-            "nic_drops": (nicd.spoof, nicd.filtered, nicd.no_destination,
-                          nicd.unconfigured_vf, nicd.rate_limited),
-            "meter": meter,
-            "drop_spans": drop_spans,
-            "unmatched": mon.unmatched_egress,
-            "loss": mon.loss_count(),
-        }
-    finally:
-        if tracing:
-            obs.disable_tracing()
-        if metering:
-            billing.uninstall(billing.METER)
+    if metering:
+        d.sim.meter = TenantMeter()
+    h = TestbedHarness(d, batch=batch)
+    if burst is not None:
+        h.lg.burst = burst
+    h.configure_tenant_flows(rate_per_flow_pps=200_000)
+    with chaos_scope:
+        result = h.run(duration=duration)
+    mon = h.monitor
+    per_flow_eg = defaultdict(int)
+    for _t, f in mon.egress_times:
+        per_flow_eg[f] += 1
+    meter = d.sim.meter.totals() if metering else None
+    drop_spans = (sorted((s.component, s.outcome, s.trace_id)
+                         for s in tracer.drops())
+                  if tracing else None)
+    bridge_drops = {
+        b.name: (b.drops_no_match, b.drops_action, b.rx_drops(),
+                 b.plan_cache_hits, b.passes)
+        for b in d.bridges
+    }
+    nicd = d.server.nic.total_drops()
+    return {
+        "sent": result.sent,
+        "delivered": result.delivered,
+        "per_flow": dict(h.sink.per_flow),
+        "samples_tin": sorted((s.flow_id, round(s.t_in, 12))
+                              for s in mon.samples),
+        "tout_by_key": {(s.flow_id, round(s.t_in, 12)): s.t_out
+                        for s in mon.samples},
+        "eg_count": dict(per_flow_eg),
+        "bridge_drops": bridge_drops,
+        "nic_drops": (nicd.spoof, nicd.filtered, nicd.no_destination,
+                      nicd.unconfigured_vf, nicd.rate_limited),
+        "meter": meter,
+        "drop_spans": drop_spans,
+        "unmatched": mon.unmatched_egress,
+        "loss": mon.loss_count(),
+    }
 
 
 def _assert_exact(oracle, batched):

@@ -8,17 +8,29 @@ import pytest
 from repro import obs
 from repro.core import SecurityLevel, TrafficScenario, build_deployment
 from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
-from repro.obs.trace import NullTracer, PacketTracer, journeys_from_jsonl
+from repro.obs.trace import (
+    NULL_TRACER,
+    NullTracer,
+    PacketTracer,
+    journeys_from_jsonl,
+)
+from repro.sim.kernel import Simulator
 from repro.traffic import TestbedHarness
 from tests.conftest import make_spec
 
 
 @pytest.fixture(autouse=True)
 def _clean_obs():
-    """Every test leaves the module-level tracer/registry pristine."""
+    """Every test leaves the process-wide registry pristine."""
     yield
-    obs.disable_tracing()
     obs.REGISTRY.reset()
+
+
+def _sim_at(t):
+    """A simulator whose clock reads ``t``."""
+    sim = Simulator()
+    sim.run(until=t)
+    return sim
 
 
 class _FakeFrame:
@@ -129,27 +141,27 @@ class TestNullTracer:
         # function object, returns None, and the class reports disabled.
         tracer = NullTracer()
         assert tracer.enabled is False
-        hooks = [tracer.kernel_run, tracer.link_send, tracer.flow_lookup,
+        hooks = [tracer.link_send, tracer.flow_lookup,
                  tracer.bridge_rx, tracer.bridge_tx, tracer.veb_forward,
-                 tracer.nic_filter, tracer.vhost, tracer.drop,
-                 tracer.run_complete]
+                 tracer.nic_filter, tracer.vhost, tracer.drop]
         assert len({id(h) for h in hooks}) == 1
         assert tracer.drop("c", _FakeFrame(), "reason") is None
 
-    def test_enable_disable_swaps_module_global(self):
-        assert not obs.tracing_enabled()
-        tracer = obs.enable_tracing()
-        assert obs.TRACER is tracer and obs.tracing_enabled()
-        obs.disable_tracing()
-        assert not obs.tracing_enabled()
-        assert isinstance(obs.TRACER, NullTracer)
+    def test_enable_disable_swaps_the_sim_tracer(self):
+        sim = Simulator()
+        assert sim.tracer is NULL_TRACER and not sim.tracer.enabled
+        tracer = obs.enable_tracing(sim)
+        assert sim.tracer is tracer and sim.tracer.enabled
+        obs.disable_tracing(sim)
+        assert sim.tracer is NULL_TRACER
+        assert isinstance(sim.tracer, NullTracer)
 
 
 class TestPacketTracer:
     def test_equal_timestamp_spans_keep_record_order(self):
         # A cached pipeline pass emits several spans at one sim instant;
         # the journey must replay them in exact record order via seq.
-        tracer = PacketTracer(clock=lambda: 1.5)
+        tracer = PacketTracer(_sim_at(1.5))
         frame = _FakeFrame(frame_id=7)
         tracer.bridge_rx("br0", frame, 1, True)
         tracer.flow_lookup("br0.table0", frame, 1, None, "plan")
@@ -161,7 +173,7 @@ class TestPacketTracer:
         assert all(s.start == 1.5 for s in journey)
 
     def test_drop_reason_recorded(self):
-        tracer = PacketTracer()
+        tracer = PacketTracer(Simulator())
         tracer.drop("nic.p0", _FakeFrame(frame_id=3, tenant_id=2), "spoof")
         drops = tracer.drops()
         assert len(drops) == 1
@@ -170,13 +182,13 @@ class TestPacketTracer:
         assert drops[0].tenant == 2
 
     def test_filter_verdict_drops_are_drops(self):
-        tracer = PacketTracer()
+        tracer = PacketTracer(Simulator())
         tracer.nic_filter("nic.p0", "pf0vf1", _FakeFrame(), "spoof_drop")
         tracer.nic_filter("nic.p0", "pf0vf2", _FakeFrame(), "pass")
         assert len(tracer.drops()) == 1
 
     def test_capacity_bounds_memory(self):
-        tracer = PacketTracer(capacity=2)
+        tracer = PacketTracer(Simulator(), capacity=2)
         frame = _FakeFrame()
         for _ in range(5):
             tracer.drop("c", frame, "r")
@@ -184,7 +196,7 @@ class TestPacketTracer:
         assert tracer.spans_dropped == 3
 
     def test_link_send_splits_enqueue_and_tx(self):
-        tracer = PacketTracer()
+        tracer = PacketTracer(Simulator())
         frame = _FakeFrame(frame_id=9)
         # Queued behind a busy link: submit at 1.0, starts at 2.0.
         tracer.link_send("link.a", frame, 1.0, 2.0, 2.5, 3.0)
@@ -196,7 +208,7 @@ class TestPacketTracer:
         assert [s.kind for s in tracer.journey(9)] == ["link.tx"]
 
     def test_jsonl_round_trip(self):
-        tracer = PacketTracer(clock=lambda: 0.25)
+        tracer = PacketTracer(_sim_at(0.25))
         frame = _FakeFrame(frame_id=11, tenant_id=1)
         tracer.bridge_rx("br0", frame, 1, False)
         tracer.drop("br0", frame, "no_match")
@@ -297,13 +309,71 @@ class TestDisabledOverheadPath:
     def test_disabled_run_records_nothing(self):
         spec = make_spec(level=SecurityLevel.LEVEL_1)
         deployment = build_deployment(spec, TrafficScenario.P2V)
-        assert not obs.tracing_enabled()
+        assert not deployment.sim.tracer.enabled
         harness = TestbedHarness(deployment)
         harness.configure_tenant_flows(rate_per_flow_pps=1000)
         result = harness.run(duration=0.005)
         assert result.delivered > 0
-        assert isinstance(obs.TRACER, NullTracer)
+        assert deployment.sim.tracer is NULL_TRACER
         # The harness still harvests cache counters even when tracing
         # is off -- metrics are pull-based, tracing is the opt-in part.
         snap = obs.REGISTRY.snapshot()
         assert snap.get('cache_lookups_total{cache="plan"}', 0) > 0
+
+
+def _l2_deployment():
+    return build_deployment(
+        make_spec(level=SecurityLevel.LEVEL_2, vms=2, tenants=2),
+        TrafficScenario.P2V)
+
+
+class TestTwoSimulators:
+    """The tracer is a tap on one simulator: building, running or
+    batching a second deployment neither re-clocks nor feeds it."""
+
+    def test_spans_stay_on_their_own_clock(self):
+        a = _l2_deployment()
+        tracer = obs.enable_tracing(a.sim)
+        _l2_deployment()  # b: a fresh simulator still at t=0
+        harness = TestbedHarness(a)
+        harness.configure_tenant_flows(rate_per_flow_pps=1000)
+        harness.run(duration=0.01)
+        hops = [s for s in tracer.spans if s.kind in
+                ("flowtable.lookup", "veb.forward", "nic.filter")]
+        assert hops
+        assert all(0.0 < s.start <= a.sim.now for s in hops)
+
+    def test_tracing_one_does_not_unbatch_or_feed_the_other(self):
+        a = _l2_deployment()
+        tracer = obs.enable_tracing(a.sim)
+        b = _l2_deployment()
+        harness = TestbedHarness(b, batch=True)
+        harness.configure_tenant_flows(rate_per_flow_pps=200_000)
+        result = harness.run(duration=0.01)
+        assert result.delivered > 0
+        assert harness.lg.batch is True
+        assert b.sim.tracer is NULL_TRACER
+        assert len(tracer) == 0
+
+
+class TestModuleGlobals:
+    def test_only_the_known_globals_are_rebound(self):
+        """Run state lives on the simulator and the run context; the
+        only module globals src/repro rebinds are the frame-id counter,
+        the worker calibration and the active run context."""
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        found = set()
+        for path in root.rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Global):
+                    rel = path.relative_to(root).with_suffix("").as_posix()
+                    found.update(f"{rel}.{name}" for name in node.names)
+        assert found == {"net/packet._frame_ids",
+                         "scenario/engine._WORKER_CALIBRATION",
+                         "scenario/context._current"}
