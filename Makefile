@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: test bench bench-update bench-micro profile sweep-bench sweep-smoke chaos-smoke billing-smoke fabric-smoke control-smoke obs-smoke perfbench-check
+.PHONY: test bench bench-update bench-micro profile sweep-bench sweep-smoke chaos-smoke billing-smoke fabric-smoke control-smoke obs-smoke perfbench-check experiments-check
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -10,6 +10,14 @@ test:
 # any of those must keep the probes (and the pinned digests) working.
 perfbench-check:
 	PYTHONPATH=src $(PYTHON) -m pytest perfbench -q
+
+# Regenerate every table (the paper's and the extensions) and fail
+# unless the output is byte-identical to experiments_output.txt.
+experiments-check:
+	PYTHONPATH=src $(PYTHON) -m repro experiments --extensions \
+		> .experiments-check.txt
+	cmp .experiments-check.txt experiments_output.txt; \
+		status=$$?; rm -f .experiments-check.txt; exit $$status
 
 # Run the benchmark suite and fail if any benchmark regressed more
 # than 20% against the recorded baseline (BENCH_fastpath.json).

@@ -3,13 +3,15 @@
 import pytest
 
 from benchmarks.conftest import emit
-from repro.experiments.fault_isolation import run
+from repro.experiments.fault_isolation import scenarios, tabulate
+from repro.scenario import Engine
 
 
 @pytest.mark.benchmark(group="extensions")
 def test_fault_isolation(benchmark):
-    table = benchmark.pedantic(run, kwargs=dict(phase=0.04),
-                               iterations=1, rounds=1)
+    table = benchmark.pedantic(
+        lambda: tabulate(Engine().run(scenarios(phase=0.04))),
+        iterations=1, rounds=1)
     emit(table)
     baseline = table.series_by_label("Baseline(1)")
     l2 = table.series_by_label("L2(2)")

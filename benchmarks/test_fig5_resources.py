@@ -4,12 +4,14 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.experiments import EvalMode
-from repro.experiments.fig5_resources import run
+from repro.experiments.fig5_resources import scenarios, tabulate
+from repro.scenario import Engine
 
 
 @pytest.mark.benchmark(group="fig5-resources")
 def test_fig5c_shared(benchmark):
-    table = benchmark(run, EvalMode.SHARED)
+    table = benchmark(lambda: tabulate(
+        Engine().run(scenarios(EvalMode.SHARED)), EvalMode.SHARED))
     emit(table)
     # The headline: multiple compartments for one extra core.
     assert table.series_by_label("Baseline").get("networking-cores") == 1
@@ -19,7 +21,8 @@ def test_fig5c_shared(benchmark):
 
 @pytest.mark.benchmark(group="fig5-resources")
 def test_fig5f_isolated(benchmark):
-    table = benchmark(run, EvalMode.ISOLATED)
+    table = benchmark(lambda: tabulate(
+        Engine().run(scenarios(EvalMode.ISOLATED)), EvalMode.ISOLATED))
     emit(table)
     assert table.series_by_label("L2(4)").get("networking-cores") == 5
     # MTS costs exactly one core more than the proportional Baseline.
@@ -33,7 +36,8 @@ def test_fig5f_isolated(benchmark):
 
 @pytest.mark.benchmark(group="fig5-resources")
 def test_fig5i_dpdk(benchmark):
-    table = benchmark(run, EvalMode.DPDK)
+    table = benchmark(lambda: tabulate(
+        Engine().run(scenarios(EvalMode.DPDK)), EvalMode.DPDK))
     emit(table)
     # With DPDK, MTS and Baseline consume equal cores (paper 4.3).
     for n, base, mts in ((1, "Baseline(1)+L3", "L1+L3"),

@@ -4,14 +4,20 @@ import pytest
 
 from benchmarks.conftest import emit
 from repro.experiments import EvalMode
-from repro.experiments.fig6_memcached import run_response_time, run_throughput
+from repro.experiments.fig6_memcached import (
+    scenarios,
+    tabulate_response_time,
+    tabulate_throughput,
+)
+from repro.scenario import Engine
 
 
 @pytest.mark.benchmark(group="fig6-memcached")
 def test_fig6c_6e_shared(benchmark):
     def both():
-        return (run_throughput(EvalMode.SHARED),
-                run_response_time(EvalMode.SHARED))
+        results = Engine().run(scenarios(EvalMode.SHARED))
+        return (tabulate_throughput(results, EvalMode.SHARED),
+                tabulate_response_time(results, EvalMode.SHARED))
 
     tput, rt = benchmark(both)
     emit(tput)
@@ -25,8 +31,9 @@ def test_fig6c_6e_shared(benchmark):
 @pytest.mark.benchmark(group="fig6-memcached")
 def test_fig6h_6j_isolated(benchmark):
     def both():
-        return (run_throughput(EvalMode.ISOLATED),
-                run_response_time(EvalMode.ISOLATED))
+        results = Engine().run(scenarios(EvalMode.ISOLATED))
+        return (tabulate_throughput(results, EvalMode.ISOLATED),
+                tabulate_response_time(results, EvalMode.ISOLATED))
 
     tput, rt = benchmark(both)
     emit(tput)
@@ -38,8 +45,9 @@ def test_fig6h_6j_isolated(benchmark):
 @pytest.mark.benchmark(group="fig6-memcached")
 def test_fig6m_6o_dpdk(benchmark):
     def both():
-        return (run_throughput(EvalMode.DPDK),
-                run_response_time(EvalMode.DPDK))
+        results = Engine().run(scenarios(EvalMode.DPDK))
+        return (tabulate_throughput(results, EvalMode.DPDK),
+                tabulate_response_time(results, EvalMode.DPDK))
 
     tput, rt = benchmark(both)
     emit(tput)

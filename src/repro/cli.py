@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Iterator, List, Optional
 
 from repro.core.deployment import build_deployment, plan_deployment
 from repro.core.levels import ResourceMode, SecurityLevel
@@ -76,6 +77,49 @@ def _spec_from(args: argparse.Namespace) -> DeploymentSpec:
 
 def _scenario_from(args: argparse.Namespace) -> TrafficScenario:
     return TrafficScenario(args.scenario)
+
+
+def _add_engine_args(parser: argparse.ArgumentParser,
+                     chunk_help: Optional[str], pool: bool = False) -> None:
+    """The scenario-engine flags.  ``pool`` makes the warm process pool
+    the ``--jobs`` default; otherwise the run is in-process."""
+    if pool:
+        parser.add_argument("--jobs", type=int, default=None,
+                            help="worker processes (default: one per "
+                                 "*available* core, respecting "
+                                 "cgroup/affinity limits; 1 = in-process "
+                                 "sequential)")
+    else:
+        parser.add_argument("--jobs", type=int, default=1,
+                            help="worker processes (default: in-process)")
+    parser.add_argument("--chunk", type=int, default=None, help=chunk_help)
+    parser.add_argument("--no-cache", action="store_true",
+                        help="ignore and don't write the result store")
+    parser.add_argument("--cache-dir", default=".repro-cache",
+                        help="result store directory (default: .repro-cache)")
+
+
+@contextmanager
+def _engine(args: argparse.Namespace) -> Iterator:
+    """The engine :func:`_add_engine_args`'s flags ask for; its worker
+    pool, if any, is released on exit."""
+    from repro.scenario import (
+        Engine,
+        NullStore,
+        ProcessPoolBackend,
+        ResultStore,
+        SequentialBackend,
+    )
+    backend = (SequentialBackend() if args.jobs == 1
+               else ProcessPoolBackend(max_workers=args.jobs,
+                                       timeout=getattr(args, "timeout", None),
+                                       chunk=args.chunk))
+    store = NullStore() if args.no_cache else ResultStore(args.cache_dir)
+    try:
+        yield Engine(backend=backend, store=store)
+    finally:
+        if hasattr(backend, "close"):
+            backend.close()
 
 
 def cmd_describe(args: argparse.Namespace) -> int:
@@ -158,23 +202,22 @@ def cmd_survey(args: argparse.Namespace) -> int:
 
 def cmd_experiments(args: argparse.Namespace) -> int:
     from repro import obs
-    from repro.experiments.runner import experiment_plan, extension_plan
-    plan = experiment_plan(quick=not args.full, seed=args.seed)
-    if args.extensions:
-        plan.extend(extension_plan(quick=not args.full, seed=args.seed))
-    available = [key for key, _ in plan]
+    from repro.experiments import runner
+    rows = runner.experiments(quick=not args.full, seed=args.seed,
+                              extensions=args.extensions)
     if args.only:
-        plan = [(k, t) for k, t in plan if args.only in k]
-        if not plan:
+        selected = [row for row in rows if args.only in row.key]
+        if not selected:
             print(f"no experiment matches {args.only!r}; available:",
-                  ", ".join(sorted(available)), file=sys.stderr)
+                  ", ".join(sorted(row.key for row in rows)),
+                  file=sys.stderr)
             return 1
-    for key, thunk in sorted(plan):
-        before = obs.REGISTRY.snapshot()
-        print(thunk().render())
-        # The harnesses inside the thunk harvested their cache counters
-        # into the registry; the delta is this experiment's share.
-        line = obs.cache_efficacy_line(obs.REGISTRY, before)
+        rows = selected
+    outcomes = runner.run(rows)
+    for key in sorted(outcomes):
+        table, metrics = outcomes[key]
+        print(table.render())
+        line = obs.cache_efficacy_line(metrics)
         if line:
             print(line)
         print()
@@ -219,7 +262,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
             print("drops:")
             for line in drops:
                 print(f"  {line}")
-        line = obs.cache_efficacy_line(obs.REGISTRY)
+        line = obs.cache_efficacy_line(obs.REGISTRY.snapshot())
         if line:
             print()
             print(line)
@@ -246,17 +289,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Cartesian sweep over deployment axes through the scenario engine."""
     from repro import obs
-    from repro.scenario import (
-        Engine,
-        NullStore,
-        ProcessPoolBackend,
-        ResultStore,
-        SequentialBackend,
-        SweepGrid,
-        build_grid,
-        sweep_table,
-        write_jsonl,
-    )
+    from repro.scenario import SweepGrid, build_grid, sweep_table, write_jsonl
     faults = None
     if args.faults:
         import json
@@ -286,25 +319,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print("sweep is empty: every grid point was skipped",
               file=sys.stderr)
         return 1
-    backend = (SequentialBackend() if args.jobs == 1
-               else ProcessPoolBackend(max_workers=args.jobs,
-                                       timeout=args.timeout,
-                                       chunk=args.chunk))
-    store = NullStore() if args.no_cache else ResultStore(args.cache_dir)
-    engine = Engine(backend=backend, store=store)
-    try:
+    with _engine(args) as engine:
         results = engine.run(specs)
-    finally:
-        if hasattr(backend, "close"):
-            backend.close()
     print(sweep_table(grid, specs, results).render())
     computed = sum(1 for r in results if not r.cached)
     cached = len(results) - computed
     line = f"{len(results)} points: {computed} computed, {cached} cached"
     if not args.no_cache:
-        line += f" (store: {store.root}, {len(store)} entries)"
+        line += f" (store: {engine.store.root}, {len(engine.store)} entries)"
     print(line)
-    efficacy = obs.cache_efficacy_line(obs.REGISTRY)
+    efficacy = obs.cache_efficacy_line(obs.REGISTRY.snapshot())
     if efficacy:
         print(efficacy)
     if args.out:
@@ -433,13 +457,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.campaign import scenarios, tabulate
     from repro.faults.plan import FaultPlan, scripted_crash
     from repro.obs.export import write_jsonl
-    from repro.scenario import (
-        Engine,
-        NullStore,
-        ProcessPoolBackend,
-        ResultStore,
-        SequentialBackend,
-    )
     if args.plan:
         with open(args.plan) as handle:
             plan = FaultPlan.from_dict(json.load(handle))
@@ -449,15 +466,8 @@ def cmd_chaos(args: argparse.Namespace) -> int:
                               heartbeat=args.heartbeat,
                               warm_standby=args.warm_standby)
     specs = scenarios(duration=args.duration, seed=args.seed, plan=plan)
-    backend = (SequentialBackend() if args.jobs in (None, 1)
-               else ProcessPoolBackend(max_workers=args.jobs,
-                                       chunk=args.chunk))
-    store = NullStore() if args.no_cache else ResultStore(args.cache_dir)
-    try:
-        results = Engine(backend=backend, store=store).run(specs)
-    finally:
-        if hasattr(backend, "close"):
-            backend.close()
+    with _engine(args) as engine:
+        results = engine.run(specs)
     print(tabulate(results).render())
     repaired = sum(r.values.get("repaired", 0) for r in results)
     violations = sum(r.values.get("violations", 0) for r in results)
@@ -491,14 +501,7 @@ def cmd_billing(args: argparse.Namespace) -> int:
     from repro.experiments.noisy_neighbor import WORKLOAD, configurations
     from repro.faults.plan import scripted_crash
     from repro.obs.export import write_jsonl
-    from repro.scenario import (
-        Engine,
-        NullStore,
-        ProcessPoolBackend,
-        ResultStore,
-        ScenarioSpec,
-        SequentialBackend,
-    )
+    from repro.scenario import ScenarioSpec
 
     deployments = configurations()
     # L3: per-tenant compartments on dedicated cores with a user-space
@@ -530,18 +533,11 @@ def cmd_billing(args: argparse.Namespace) -> int:
     churn_spec = scenario(default_plan(duration=30.0), seed=args.seed,
                           label="churn", metering=True)
 
-    backend = (SequentialBackend() if args.jobs in (None, 1)
-               else ProcessPoolBackend(max_workers=args.jobs,
-                                       chunk=args.chunk))
-    store = NullStore() if args.no_cache else ResultStore(args.cache_dir)
-    try:
-        engine = Engine(backend=backend, store=store)
-        clean_results = engine.run(clean_specs)
-        chaos_results = engine.run(chaos_specs)
-        churn_results = engine.run([churn_spec])
-    finally:
-        if hasattr(backend, "close"):
-            backend.close()
+    with _engine(args) as engine:
+        all_results = engine.run(clean_specs + chaos_specs + [churn_spec])
+    clean_results = all_results[:len(clean_specs)]
+    chaos_results = all_results[len(clean_specs):-1]
+    churn_result = all_results[-1]
 
     def split(result):
         records = [UsageRecord.from_dict(u) for u in result.usage
@@ -554,7 +550,7 @@ def cmd_billing(args: argparse.Namespace) -> int:
     failures = []
     all_records = []
     all_invoices = []
-    for spec, result in zip(clean_specs, clean_results):
+    for result in clean_results:
         records, summary = split(result)
         invoices = invoices_from_records(records)
         invoices_by_label[result.label] = invoices
@@ -571,7 +567,7 @@ def cmd_billing(args: argparse.Namespace) -> int:
     print(billing_report.misattribution_table(scores).render())
 
     payers_by_label = {}
-    for spec, result in zip(chaos_specs, chaos_results):
+    for result in chaos_results:
         records, summary = split(result)
         payers_by_label[result.label] = summary.get("fault_payers", {})
         scores[f"{result.label}+fault"] = summary.get(
@@ -591,24 +587,21 @@ def cmd_billing(args: argparse.Namespace) -> int:
         title="Who pays for the compartment-0 crash? (resync seconds "
               "charged per tenant)").render())
 
-    churn_payers = {}
-    for result in churn_results:
-        records, summary = split(result)
-        churn_payers[result.label] = summary.get("fault_payers", {})
-        if not summary.get("reconciled", False):
-            failures.append((result.label,
-                             summary.get("failures", ["no summary"])))
-        for rec in records:
-            all_records.append({"label": result.label, **rec.to_dict()})
-        for inv in invoices_from_records(records):
-            all_invoices.append({"label": result.label, **inv.to_dict()})
+    records, summary = split(churn_result)
+    label = churn_result.label
+    churn_payers = {label: summary.get("fault_payers", {})}
+    if not summary.get("reconciled", False):
+        failures.append((label, summary.get("failures", ["no summary"])))
+    for rec in records:
+        all_records.append({"label": label, **rec.to_dict()})
+    for inv in invoices_from_records(records):
+        all_invoices.append({"label": label, **inv.to_dict()})
     print()
     print(billing_report.fault_payer_table(
         churn_payers,
         title="Who pays for control-plane churn? (migration + autoscale "
               "re-sync seconds charged per tenant)").render())
 
-    all_results = clean_results + chaos_results + churn_results
     cached = sum(1 for r in all_results if r.cached)
     reconciled = len(all_results) - len(failures)
     print(f"\n{len(all_results)} metered runs "
@@ -640,13 +633,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.controlplane.workload import default_plan, scenario
     from repro.measure.reporting import Series, Table
     from repro.obs.export import write_jsonl
-    from repro.scenario import (
-        Engine,
-        NullStore,
-        ProcessPoolBackend,
-        ResultStore,
-        SequentialBackend,
-    )
 
     if args.plan:
         with open(args.plan) as handle:
@@ -658,16 +644,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
                             mean_lifetime=args.mean_lifetime,
                             seedable_repair=args.repair_after)
     spec = scenario(plan, seed=args.seed, label="churn")
-    backend = (SequentialBackend() if args.jobs in (None, 1)
-               else ProcessPoolBackend(max_workers=args.jobs,
-                                       chunk=args.chunk))
-    store = NullStore() if args.no_cache else ResultStore(args.cache_dir)
-    try:
-        results = Engine(backend=backend, store=store).run([spec])
-    finally:
-        if hasattr(backend, "close"):
-            backend.close()
-    result = results[0]
+    with _engine(args) as engine:
+        result = engine.run_one(spec)
     v = result.values
 
     lifecycle = Table(
@@ -790,17 +768,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="DES window per point, seconds (default: 0.1)")
     p.add_argument("--frame-bytes", type=int, default=64)
     p.add_argument("--rate-pps", type=float, default=10_000)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: one per *available* "
-                        "core, respecting cgroup/affinity limits; "
-                        "1 = in-process sequential)")
-    p.add_argument("--chunk", type=int, default=None,
-                   help="scenarios per worker batch (default: adaptive, "
-                        "~4 batches per worker)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore and don't write the result store")
-    p.add_argument("--cache-dir", default=".repro-cache",
-                   help="result store directory (default: .repro-cache)")
+    _add_engine_args(p, "scenarios per worker batch (default: adaptive, "
+                        "~4 batches per worker)", pool=True)
     p.add_argument("--out", metavar="SWEEP.jsonl",
                    help="write one JSON line per point")
     p.add_argument("--seed", type=int, default=0,
@@ -876,14 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "standbys instead of cold restarts")
     p.add_argument("--plan", metavar="PLAN.json",
                    help="full fault plan (overrides the default crash)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: in-process)")
-    p.add_argument("--chunk", type=int, default=None,
-                   help="campaigns per worker batch (default: adaptive)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore and don't write the result store")
-    p.add_argument("--cache-dir", default=".repro-cache",
-                   help="result store directory (default: .repro-cache)")
+    _add_engine_args(p, "campaigns per worker batch (default: adaptive)")
     p.add_argument("--events-out", metavar="EVENTS.jsonl",
                    help="write the inject/detect/recover event log")
     p.add_argument("--check", action="store_true",
@@ -903,14 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accounting window length in simulated seconds "
                         "(default: 0.01)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: in-process)")
-    p.add_argument("--chunk", type=int, default=None,
-                   help="scenarios per worker batch (default: adaptive)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore and don't write the result store")
-    p.add_argument("--cache-dir", default=".repro-cache",
-                   help="result store directory (default: .repro-cache)")
+    _add_engine_args(p, "scenarios per worker batch (default: adaptive)")
     p.add_argument("--usage-out", metavar="USAGE.jsonl",
                    help="write every windowed usage record")
     p.add_argument("--invoices-out", metavar="INVOICES.jsonl",
@@ -938,13 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--plan", metavar="CHURN.json",
                    help="full churn plan (overrides the flags above)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: in-process)")
-    p.add_argument("--chunk", type=int, default=None)
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore and don't write the result store")
-    p.add_argument("--cache-dir", default=".repro-cache",
-                   help="result store directory (default: .repro-cache)")
+    _add_engine_args(p, None)
     p.add_argument("--events-out", metavar="EVENTS.jsonl",
                    help="write the lifecycle event log")
     p.add_argument("--check", action="store_true",

@@ -3,7 +3,7 @@
 :class:`ChurnScript` is the bridge between the control plane's idea of
 churn and the packet-level testbed: it schedules real
 :class:`~repro.core.orchestrator.MtsOrchestrator` lifecycle operations
-(live migrations, tenant removals) at simulated times on a deployment
+(live migrations) at simulated times on a deployment
 that a :class:`~repro.traffic.harness.TestbedHarness` is about to
 drive.
 
@@ -43,12 +43,6 @@ class ChurnScript:
         self._armed += 1
         self.sim.schedule(at, self._fire_migration, tenant_id, target)
 
-    def schedule_removal(self, at: float, tenant_id: int) -> None:
-        """Arm a graceful tenant removal at simulated time ``at``."""
-        self.deployment.hold_wiring()
-        self._armed += 1
-        self.sim.schedule(at, self._fire_removal, tenant_id)
-
     def _release(self) -> None:
         if self._armed > 0:
             self._armed -= 1
@@ -64,14 +58,6 @@ class ChurnScript:
         finally:
             # The orchestrator holds the deployment for the migration
             # window; the armed hold has done its job.
-            self._release()
-
-    def _fire_removal(self, tenant_id: int) -> None:
-        try:
-            self.orchestrator.remove_tenant(tenant_id)
-            self.completed.append({
-                "kind": "remove", "t": self.sim.now, "tenant": tenant_id})
-        finally:
             self._release()
 
     def close(self) -> None:

@@ -11,7 +11,8 @@
 - :mod:`repro.experiments.fig6_memcached` -- Fig. 6(c,h,m,e,j,o).
 - :mod:`repro.experiments.table1_survey` -- Table 1.
 - :mod:`repro.experiments.vf_table` -- the section 3.2 VF budgets.
-- :mod:`repro.experiments.runner` -- run everything, render all tables.
+- :mod:`repro.experiments.runner` -- the experiment table, run as one
+  engine call by ``repro experiments``.
 """
 
 from repro.experiments.common import ConfigPoint, EvalMode, configs_for_mode

@@ -88,10 +88,3 @@ def tabulate(results: Sequence[ScenarioResult],
                    result.values["total"] - baseline_total)
         table.add_series(series)
     return table
-
-
-def run(scenario: TrafficScenario = TrafficScenario.P2V,
-        seed: int = 0) -> Table:
-    from repro.experiments.runner import default_engine
-    return tabulate(default_engine().run(scenarios(scenario, seed=seed)),
-                    scenario)

@@ -162,8 +162,3 @@ def tabulate(results: Sequence[ScenarioResult]) -> Table:
             series.add(f"t{t}", result.values[f"during:t{t}"])
         table.add_series(series)
     return table
-
-
-def run(phase: float = 0.05, seed: int = 0) -> Table:
-    from repro.experiments.runner import default_engine
-    return tabulate(default_engine().run(scenarios(phase=phase, seed=seed)))

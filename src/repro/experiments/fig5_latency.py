@@ -9,8 +9,8 @@ stationary, so the window length only controls sample count.
 
 The paper reports 64 B distributions and studied 512/1500/2048 B as
 well; ``frame_bytes`` selects the size.  ``scenarios(mode)`` declares
-one figure row for the scenario engine; ``run(mode)`` executes it and
-tabulates the medians.
+one figure row for the scenario engine; ``tabulate`` turns the engine's
+results into the table of medians.
 """
 
 from __future__ import annotations
@@ -151,18 +151,3 @@ def tabulate(results: Sequence[ScenarioResult],
             table.add_series(series)
         series.add(result.traffic, result.values["median_us"])
     return table
-
-
-def run(mode: str = EvalMode.SHARED, frame_bytes: int = 64,
-        duration: float = 0.3, seed: int = 0,
-        calibration: Calibration = DEFAULT_CALIBRATION) -> Table:
-    """One row of Fig. 5's latency column (medians, in microseconds)."""
-    from repro.experiments.runner import default_engine
-    specs = scenarios(mode, frame_bytes, duration, seed=seed,
-                      calibration=calibration)
-    results = default_engine(calibration).run(specs)
-    return tabulate(results, mode, frame_bytes)
-
-
-def run_all(frame_bytes: int = 64, duration: float = 0.3) -> Dict[str, Table]:
-    return {mode: run(mode, frame_bytes, duration) for mode in EvalMode.ALL}

@@ -4,8 +4,8 @@ The load generator offers 4 flows at line rate (14.88 Mpps aggregate at
 64 B on 10G); the reported number is the aggregate delivered rate,
 computed by the max-min capacity solver over the deployment's resource
 pools.  ``scenarios(mode)`` declares one figure row as specs for the
-scenario engine, ``tabulate`` turns the engine's results back into the
-figure's table, and ``run(mode)`` composes the two.
+scenario engine, and ``tabulate`` turns the engine's results back into
+the figure's table.
 """
 
 from __future__ import annotations
@@ -28,18 +28,6 @@ from repro.units import LINE_RATE_10G_64B_PPS, MPPS
 SCENARIOS = (TrafficScenario.P2P, TrafficScenario.P2V, TrafficScenario.V2V)
 
 WORKLOAD = "fig5.throughput"
-
-
-def aggregate_mpps(config, scenario: TrafficScenario,
-                   frame_bytes: int = 64,
-                   calibration: Calibration = DEFAULT_CALIBRATION) -> float:
-    """Saturation throughput of one configuration point, in Mpps."""
-    spec = config.spec()
-    deployment = build_deployment(spec, scenario, calibration=calibration)
-    offered_per_flow = LINE_RATE_10G_64B_PPS / spec.num_tenants
-    result = throughput(deployment, scenario, frame_bytes=frame_bytes,
-                        offered_per_flow_pps=offered_per_flow)
-    return result.aggregate_pps / MPPS
 
 
 def measure_scenario(spec: ScenarioSpec,
@@ -97,17 +85,3 @@ def tabulate(results: Sequence[ScenarioResult],
             table.add_series(series)
         series.add(result.traffic, result.values["mpps"])
     return table
-
-
-def run(mode: str = EvalMode.SHARED, frame_bytes: int = 64,
-        seed: int = 0,
-        calibration: Calibration = DEFAULT_CALIBRATION) -> Table:
-    """One row of Fig. 5's throughput column."""
-    from repro.experiments.runner import default_engine
-    specs = scenarios(mode, frame_bytes, seed=seed, calibration=calibration)
-    results = default_engine(calibration).run(specs)
-    return tabulate(results, mode, frame_bytes)
-
-
-def run_all(frame_bytes: int = 64) -> Dict[str, Table]:
-    return {mode: run(mode, frame_bytes) for mode in EvalMode.ALL}

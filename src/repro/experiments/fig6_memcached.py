@@ -11,12 +11,11 @@ one cached point per configuration.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.core.deployment import build_deployment
 from repro.core.spec import TrafficScenario
 from repro.experiments.common import (
-    ConfigPoint,
     EvalMode,
     configs_for_mode,
     repeat_with_noise,
@@ -32,14 +31,6 @@ SCENARIOS = (TrafficScenario.P2V, TrafficScenario.V2V)
 WORKLOAD = "fig6.memcached"
 
 REPETITIONS = 5
-
-
-def memcached_metrics(config: ConfigPoint,
-                      scenario: TrafficScenario) -> Tuple[float, float]:
-    """(aggregate ops/s, mean response time seconds)."""
-    deployment = build_deployment(config.spec(nic_ports=1), scenario)
-    report = MemcachedModel(deployment, scenario).run()
-    return report.aggregate_ops, report.mean_response_time
 
 
 def measure_scenario(spec: ScenarioSpec,
@@ -112,23 +103,3 @@ def tabulate_response_time(results: Sequence[ScenarioResult],
                      f"{figure} Memcached response time, {mode} mode",
                      "ms", lambda v: f"{v:.2f}",
                      lambda r: r.values["rt_mean_s"] / MSEC)
-
-
-def run_throughput(mode: str = EvalMode.SHARED, seed: int = 0) -> Table:
-    from repro.experiments.runner import default_engine
-    return tabulate_throughput(
-        default_engine().run(scenarios(mode, seed=seed)), mode)
-
-
-def run_response_time(mode: str = EvalMode.SHARED, seed: int = 0) -> Table:
-    from repro.experiments.runner import default_engine
-    return tabulate_response_time(
-        default_engine().run(scenarios(mode, seed=seed)), mode)
-
-
-def run_all() -> Dict[str, Table]:
-    tables = {}
-    for mode in EvalMode.ALL:
-        tables[f"{mode}-throughput"] = run_throughput(mode)
-        tables[f"{mode}-response-time"] = run_response_time(mode)
-    return tables

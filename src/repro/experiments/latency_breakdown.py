@@ -113,12 +113,3 @@ def tabulate(results: Sequence[ScenarioResult],
                    sum(result.values[c] for c in COMPONENTS) / USEC)
         table.add_series(series)
     return table
-
-
-def run(mode: str = EvalMode.SHARED,
-        scenario: TrafficScenario = TrafficScenario.P2V,
-        duration: float = 0.1, seed: int = 0) -> Table:
-    from repro.experiments.runner import default_engine
-    results = default_engine().run(
-        scenarios(mode, scenario, duration=duration, seed=seed))
-    return tabulate(results, mode, scenario)

@@ -142,9 +142,3 @@ def tabulate(results: Sequence[ScenarioResult]) -> Table:
     table.add_series(latency)
     table.add_series(attacker)
     return table
-
-
-def run(duration: float = 0.1, seed: int = 0) -> Table:
-    from repro.experiments.runner import default_engine
-    return tabulate(default_engine().run(
-        scenarios(duration=duration, seed=seed)))

@@ -1,22 +1,25 @@
-"""Run every experiment and render all tables (EXPERIMENTS.md source).
+"""The experiment table: every table and figure row of the evaluation.
 
-``python -m repro.experiments.runner`` regenerates every figure/table
-row of the paper's evaluation and prints them in order.  ``quick=True``
-shortens the DES latency windows (the distributions are stationary, so
-only sample counts shrink).
+Each :class:`Experiment` row declares the frozen :class:`ScenarioSpec`
+list it needs and a pure ``tabulate`` from the engine's results for
+exactly those specs to its :class:`Table` (Table 1 and the VF budgets
+need no specs; their ``tabulate`` ignores its input).  :func:`run`
+collects the specs of every selected row, makes one deduplicating
+:meth:`Engine.run` over them -- the Fig. 6 throughput and
+response-time tables share their scenarios, so each runs once -- and
+slices the results back to each row.  ``quick=True`` shortens the DES
+latency windows (the distributions are stationary, so only sample
+counts shrink).
 
-Every experiment module follows the scenario-engine split:
-``scenarios(...)`` declares frozen :class:`ScenarioSpec` lists,
-``tabulate(results, ...)`` is a pure function from engine results to a
-:class:`Table`, and ``run(...)`` composes the two through
-:func:`default_engine`.  This module holds the plan (what to run, in
-what order, at which durations) and the engine the ``run()`` wrappers
-share.
+``repro experiments`` is the front end (``--only`` filters rows,
+``--full`` turns ``quick`` off, ``--extensions`` adds the
+beyond-the-paper rows).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.experiments import fig5_latency, fig5_resources, fig5_throughput
 from repro.experiments import fig6_apache, fig6_iperf, fig6_memcached
@@ -30,106 +33,99 @@ from repro.experiments import (
 )
 from repro.experiments.common import EvalMode
 from repro.measure.reporting import Table
-from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.scenario.engine import Engine, SequentialBackend
+from repro.scenario.engine import Engine
+from repro.scenario.spec import ScenarioResult, ScenarioSpec
 
 
-def default_engine(calibration: Calibration = DEFAULT_CALIBRATION
-                   ) -> Engine:
-    """The engine the ``run()`` wrappers share: sequential, no disk
-    cache (within-batch dedup still applies).  ``repro sweep`` builds
-    its own engine with a process pool and a content-addressed store.
-    """
-    return Engine(backend=SequentialBackend(), store=None,
-                  calibration=calibration)
+class Experiment(NamedTuple):
+    """One row of the table: an experiment id, its specs, and the pure
+    function from their results (in spec order) to its table."""
+
+    key: str
+    specs: List[ScenarioSpec]
+    tabulate: Callable[[Sequence[ScenarioResult]], Table]
 
 
-#: An experiment id paired with a zero-arg callable producing its table.
-ExperimentPlan = List[Tuple[str, Callable[[], Table]]]
-
-
-def experiment_plan(quick: bool = True, seed: int = 0) -> ExperimentPlan:
-    """The paper's evaluation as (id, thunk) pairs, in run order.
-
-    Callers that want per-experiment bookkeeping (the CLI's cache-efficacy
-    lines diff the obs registry around each thunk) iterate this instead
-    of :func:`run_everything`, which is now a thin fold over it.
-    """
+def experiments(quick: bool = True, seed: int = 0,
+                extensions: bool = False) -> List[Experiment]:
+    """The paper's evaluation (plus, with ``extensions``, the
+    beyond-the-paper experiments of DESIGN.md section 7), in run
+    order."""
     latency_duration = 0.15 if quick else 0.5
-    plan: ExperimentPlan = [
-        ("table1", table1_survey.run),
-        ("vf-budgets", vf_table.run),
+    rows = [
+        Experiment("table1", [], lambda _: table1_survey.run()),
+        Experiment("vf-budgets", [], lambda _: vf_table.run()),
     ]
     for mode in EvalMode.ALL:
-        plan.extend([
-            (f"fig5-throughput-{mode}",
-             lambda m=mode: fig5_throughput.run(m, seed=seed)),
-            (f"fig5-latency-{mode}",
-             lambda m=mode: fig5_latency.run(m, duration=latency_duration,
-                                             seed=seed)),
-            (f"fig5-resources-{mode}",
-             lambda m=mode: fig5_resources.run(m, seed=seed)),
-            (f"fig6-iperf-{mode}",
-             lambda m=mode: fig6_iperf.run(m, seed=seed)),
-            (f"fig6-apache-tput-{mode}",
-             lambda m=mode: fig6_apache.run_throughput(m, seed=seed)),
-            (f"fig6-apache-rt-{mode}",
-             lambda m=mode: fig6_apache.run_response_time(m, seed=seed)),
-            (f"fig6-memcached-tput-{mode}",
-             lambda m=mode: fig6_memcached.run_throughput(m, seed=seed)),
-            (f"fig6-memcached-rt-{mode}",
-             lambda m=mode: fig6_memcached.run_response_time(m, seed=seed)),
-        ])
-    return plan
+        rows += [
+            Experiment(f"fig5-throughput-{mode}",
+                       fig5_throughput.scenarios(mode, seed=seed),
+                       partial(fig5_throughput.tabulate, mode=mode)),
+            Experiment(f"fig5-latency-{mode}",
+                       fig5_latency.scenarios(mode, duration=latency_duration,
+                                              seed=seed),
+                       partial(fig5_latency.tabulate, mode=mode)),
+            Experiment(f"fig5-resources-{mode}",
+                       fig5_resources.scenarios(mode, seed=seed),
+                       partial(fig5_resources.tabulate, mode=mode)),
+            Experiment(f"fig6-iperf-{mode}",
+                       fig6_iperf.scenarios(mode, seed=seed),
+                       partial(fig6_iperf.tabulate, mode=mode)),
+            Experiment(f"fig6-apache-tput-{mode}",
+                       fig6_apache.scenarios(mode, seed=seed),
+                       partial(fig6_apache.tabulate_throughput, mode=mode)),
+            Experiment(f"fig6-apache-rt-{mode}",
+                       fig6_apache.scenarios(mode, seed=seed),
+                       partial(fig6_apache.tabulate_response_time,
+                               mode=mode)),
+            Experiment(f"fig6-memcached-tput-{mode}",
+                       fig6_memcached.scenarios(mode, seed=seed),
+                       partial(fig6_memcached.tabulate_throughput,
+                               mode=mode)),
+            Experiment(f"fig6-memcached-rt-{mode}",
+                       fig6_memcached.scenarios(mode, seed=seed),
+                       partial(fig6_memcached.tabulate_response_time,
+                               mode=mode)),
+        ]
+    if extensions:
+        window = 0.06 if quick else 0.15
+        rows += [
+            Experiment("ext-noisy-neighbor",
+                       noisy_neighbor.scenarios(duration=window, seed=seed),
+                       noisy_neighbor.tabulate),
+            Experiment("ext-policy-injection",
+                       policy_injection.scenarios(duration=window,
+                                                  seed=seed),
+                       policy_injection.tabulate),
+            Experiment("ext-latency-breakdown",
+                       latency_breakdown.scenarios(duration=window,
+                                                   seed=seed),
+                       latency_breakdown.tabulate),
+            Experiment("ext-fault-isolation",
+                       fault_isolation.scenarios(phase=window / 1.5,
+                                                 seed=seed),
+                       fault_isolation.tabulate),
+            Experiment("ext-deployment-cost",
+                       deployment_cost.scenarios(seed=seed),
+                       deployment_cost.tabulate),
+        ]
+    return rows
 
 
-def extension_plan(quick: bool = True, seed: int = 0) -> ExperimentPlan:
-    """The beyond-the-paper experiments as (id, thunk) pairs."""
-    window = 0.06 if quick else 0.15
-    return [
-        ("ext-noisy-neighbor",
-         lambda: noisy_neighbor.run(duration=window, seed=seed)),
-        ("ext-policy-injection",
-         lambda: policy_injection.run(duration=window, seed=seed)),
-        ("ext-latency-breakdown",
-         lambda: latency_breakdown.run(duration=window, seed=seed)),
-        ("ext-fault-isolation",
-         lambda: fault_isolation.run(phase=window / 1.5, seed=seed)),
-        ("ext-deployment-cost", lambda: deployment_cost.run(seed=seed)),
-    ]
-
-
-def run_everything(quick: bool = True, seed: int = 0) -> Dict[str, Table]:
-    """All tables of the paper's evaluation, keyed by experiment id."""
-    return {key: thunk()
-            for key, thunk in experiment_plan(quick=quick, seed=seed)}
-
-
-def run_extensions(quick: bool = True, seed: int = 0) -> Dict[str, Table]:
-    """The beyond-the-paper experiments (DESIGN.md section 7)."""
-    return {key: thunk()
-            for key, thunk in extension_plan(quick=quick, seed=seed)}
-
-
-def render_everything(quick: bool = True,
-                      include_extensions: bool = False,
-                      seed: int = 0) -> str:
-    tables = run_everything(quick=quick, seed=seed)
-    if include_extensions:
-        tables.update(run_extensions(quick=quick, seed=seed))
-    chunks: List[str] = []
-    for key in sorted(tables):
-        chunks.append(tables[key].render())
-    chunks.append(table1_survey.render_full())
-    return "\n\n".join(chunks)
-
-
-def main() -> None:
-    import sys
-    print(render_everything(
-        quick=True,
-        include_extensions="--extensions" in sys.argv))
-
-
-if __name__ == "__main__":
-    main()
+def run(rows: Sequence[Experiment]
+        ) -> Dict[str, Tuple[Table, Dict[str, float]]]:
+    """Every row's table and obs counter totals (the sum of its
+    results' shipped :attr:`ScenarioResult.metrics`), keyed by
+    experiment id, from one engine call over all their specs."""
+    results = Engine().run([spec for row in rows for spec in row.specs])
+    out = {}
+    start = 0
+    for row in rows:
+        mine = results[start:start + len(row.specs)]
+        start += len(row.specs)
+        totals: Dict[str, float] = {}
+        for result in mine:
+            for key, delta in result.metrics.items():
+                totals[key] = totals.get(key, 0.0) + delta
+        out[row.key] = (row.tabulate(mine), totals)
+    return out

@@ -155,11 +155,3 @@ def tabulate(results: Sequence[ScenarioResult]) -> Table:
         series.add("viol", result.values.get("violations", 0.0))
         table.add_series(series)
     return table
-
-
-def run(duration: float = 0.15, seed: int = 0,
-        warm_standby: bool = False) -> Table:
-    from repro.experiments.runner import default_engine
-    return tabulate(default_engine().run(
-        scenarios(duration=duration, seed=seed,
-                  warm_standby=warm_standby)))

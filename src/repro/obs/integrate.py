@@ -7,8 +7,9 @@ module pulls them into the shared :class:`MetricsRegistry` in two ways:
 
 - :func:`harvest` -- called by the harness after every run: folds the
   *delta* since the last harvest into global, labelled counters
-  (``cache_hits_total{cache="emc"}`` etc.), so the experiment runner can
-  report cache efficacy per experiment by diffing registry snapshots;
+  (``cache_hits_total{cache="emc"}`` etc.); the scenario engine ships
+  each run's share in :attr:`ScenarioResult.metrics`, which the
+  experiment runner sums per experiment for its cache-efficacy line;
 - :func:`deployment_metrics` -- a one-shot detailed pull for the
   ``repro obs`` CLI: per-table / per-bridge / per-VEB gauges.
 
@@ -194,27 +195,22 @@ def _get(snapshot: Dict[str, float], name: str, **labels) -> float:
     return snapshot.get(key, 0.0)
 
 
-def cache_efficacy_line(registry: MetricsRegistry,
-                        before: Optional[Dict[str, float]] = None) -> Optional[str]:
-    """One-line per-experiment cache report from registry counter deltas
-    (``before`` is a prior :meth:`MetricsRegistry.snapshot`); ``None``
-    when no cache was consulted in the interval."""
-    after = registry.snapshot()
-    before = before or {}
+def cache_efficacy_line(counts: Dict[str, float]) -> Optional[str]:
+    """One-line cache report from counter totals in
+    :meth:`MetricsRegistry.snapshot` form (a whole registry, or one
+    experiment's summed :attr:`ScenarioResult.metrics`); ``None`` when
+    no cache was consulted."""
     parts = []
     for cache in _CACHES:
-        n = (_get(after, "cache_lookups_total", cache=cache)
-             - _get(before, "cache_lookups_total", cache=cache))
+        n = _get(counts, "cache_lookups_total", cache=cache)
         if n <= 0:
             continue
-        h = (_get(after, "cache_hits_total", cache=cache)
-             - _get(before, "cache_hits_total", cache=cache))
+        h = _get(counts, "cache_hits_total", cache=cache)
         parts.append(f"{cache.replace('_', '-')} {h / n:.1%} "
                      f"({h:.0f}/{n:.0f})")
     if not parts:
         return None
-    inval = (_get(after, "plan_invalidations_total")
-             - _get(before, "plan_invalidations_total"))
+    inval = _get(counts, "plan_invalidations_total")
     line = "[obs] cache hit rates: " + ", ".join(parts)
     if inval:
         line += f"; plan invalidations +{inval:.0f}"

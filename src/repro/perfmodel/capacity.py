@@ -109,9 +109,6 @@ class SolveResult:
     def aggregate_pps(self) -> float:
         return sum(self.rates_pps.values())
 
-    def rate_of(self, flow_name: str) -> float:
-        return self.rates_pps[flow_name]
-
     # -- residual-capacity queries (the hybrid DES/fluid split) ----------
 
     def used_of(self, resource_name: str) -> float:

@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import SecurityLevel, TrafficScenario
 from repro.core.spec import DeploymentSpec
-from repro.experiments.deployment_cost import op_counts, run
+from repro.experiments.deployment_cost import op_counts, scenarios, tabulate
+from repro.scenario import Engine
 
 
 class TestDeploymentCost:
@@ -36,7 +37,7 @@ class TestDeploymentCost:
         assert l2_2 == pytest.approx(l1 + per_compartment, abs=1)
 
     def test_table_renders_with_delta_row(self):
-        table = run()
+        table = tabulate(Engine().run(scenarios()))
         assert table.series_by_label("Baseline(1)").get("delta vs Baseline") == 0
         assert table.series_by_label("L2(4)").get("delta vs Baseline") > 0
 

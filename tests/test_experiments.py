@@ -14,6 +14,7 @@ from repro.experiments import (
     vf_table,
 )
 from repro.experiments.common import repeat_with_noise
+from repro.scenario import Engine
 
 
 class TestConfigMatrices:
@@ -54,7 +55,8 @@ class TestRepetitions:
 
 class TestFig5Tables:
     def test_throughput_table_complete(self):
-        table = fig5_throughput.run(EvalMode.SHARED)
+        table = fig5_throughput.tabulate(
+            Engine().run(fig5_throughput.scenarios(EvalMode.SHARED)))
         assert len(table.series) == 4
         baseline = table.series_by_label("Baseline")
         assert set(baseline.xs()) == {"p2p", "p2v", "v2v"}
@@ -62,39 +64,48 @@ class TestFig5Tables:
         assert "v2v" not in l2_4.xs()  # the paper's gap
 
     def test_throughput_values_positive_and_bounded(self):
-        table = fig5_throughput.run(EvalMode.DPDK)
+        table = fig5_throughput.tabulate(
+            Engine().run(fig5_throughput.scenarios(EvalMode.DPDK)),
+            EvalMode.DPDK)
         for series in table.series:
             for x in series.xs():
                 assert 0 < series.get(x) <= 14.89
 
     def test_latency_table(self):
-        table = fig5_latency.run(EvalMode.SHARED, duration=0.05)
+        table = fig5_latency.tabulate(Engine().run(
+            fig5_latency.scenarios(EvalMode.SHARED, duration=0.05)))
         assert table.series_by_label("L1").get("p2v") > 0
 
     def test_resources_table_values(self):
-        table = fig5_resources.run(EvalMode.SHARED)
+        table = fig5_resources.tabulate(
+            Engine().run(fig5_resources.scenarios(EvalMode.SHARED)))
         assert table.series_by_label("Baseline").get("networking-cores") == 1
         assert table.series_by_label("L2(4)").get("networking-cores") == 2
-        iso = fig5_resources.run(EvalMode.ISOLATED)
+        iso = fig5_resources.tabulate(
+            Engine().run(fig5_resources.scenarios(EvalMode.ISOLATED)),
+            EvalMode.ISOLATED)
         assert iso.series_by_label("L2(4)").get("networking-cores") == 5
 
 
 class TestFig6Tables:
     def test_iperf_table(self):
-        table = fig6_iperf.run(EvalMode.SHARED)
+        table = fig6_iperf.tabulate(
+            Engine().run(fig6_iperf.scenarios(EvalMode.SHARED)))
         base = table.series_by_label("Baseline").get("p2v")
         mts = table.series_by_label("L2(4)").get("p2v")
         assert mts > 2 * base
 
     def test_apache_tables(self):
-        tput = fig6_apache.run_throughput(EvalMode.SHARED)
-        rt = fig6_apache.run_response_time(EvalMode.SHARED)
+        results = Engine().run(fig6_apache.scenarios(EvalMode.SHARED))
+        tput = fig6_apache.tabulate_throughput(results)
+        rt = fig6_apache.tabulate_response_time(results)
         assert tput.series_by_label("L1").get("p2v") > 0
         assert rt.series_by_label("Baseline").get("p2v") > rt.series_by_label(
             "L1").get("p2v")
 
     def test_memcached_tables(self):
-        tput = fig6_memcached.run_throughput(EvalMode.SHARED)
+        tput = fig6_memcached.tabulate_throughput(
+            Engine().run(fig6_memcached.scenarios(EvalMode.SHARED)))
         assert (tput.series_by_label("L2(2)").get("p2v")
                 > tput.series_by_label("Baseline").get("p2v"))
 
@@ -115,7 +126,8 @@ class TestStaticTables:
         assert l2.get("4T") == 12
 
     def test_all_tables_render(self):
-        for table in (table1_survey.run(), vf_table.run(),
-                      fig5_resources.run(EvalMode.SHARED)):
+        resources = fig5_resources.tabulate(
+            Engine().run(fig5_resources.scenarios(EvalMode.SHARED)))
+        for table in (table1_survey.run(), vf_table.run(), resources):
             text = table.render()
             assert text.startswith("==")

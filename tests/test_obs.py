@@ -295,7 +295,7 @@ class TestEndToEndJourney:
         # with no traffic in between must contribute nothing.
         delta = obs.harvest(deployment, obs.REGISTRY)
         assert all(v == 0 for v in delta.values())
-        line = obs.cache_efficacy_line(obs.REGISTRY)
+        line = obs.cache_efficacy_line(obs.REGISTRY.snapshot())
         assert line is not None and "emc" in line
 
     def test_registry_cache_counters_populated(self, tmp_path):
