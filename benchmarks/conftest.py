@@ -2,7 +2,11 @@
 
 Every benchmark regenerates one of the paper's tables/figures and
 prints the rows it produced (run with ``-s`` to see them inline; they
-are also collected into ``bench_tables.txt`` in the repo root).
+are also collected into the untracked ``.bench-tables.txt`` in the repo
+root, holding just the tables of the last session's benchmarks).  The
+pinned table artifact is ``experiments_output.txt``, which ``make
+experiments-check`` compares against a fresh ``repro experiments
+--extensions`` run.
 """
 
 import os
@@ -24,6 +28,6 @@ def _write_tables_at_exit():
     yield
     if not _RENDERED:
         return
-    path = os.path.join(os.path.dirname(__file__), "..", "bench_tables.txt")
+    path = os.path.join(os.path.dirname(__file__), "..", ".bench-tables.txt")
     with open(os.path.abspath(path), "w") as handle:
         handle.write("\n\n".join(_RENDERED) + "\n")

@@ -16,6 +16,7 @@ design.  This example runs the extensions end to end:
 Run:  python examples/datacenter_fabric.py
 """
 
+from repro import obs
 from repro.core import (
     DeploymentSpec,
     MtsOrchestrator,
@@ -26,6 +27,7 @@ from repro.core import (
     bill,
     build_deployment,
 )
+from repro.obs.export import journey_report
 from repro.traffic import TestbedHarness
 from repro.units import fmt_time
 
@@ -37,13 +39,13 @@ def fabric_demo() -> None:
     cloud = MultiServerCloud(spec, num_servers=2)
     print(cloud.describe())
 
+    tracer = obs.enable_tracing(cloud.sim)
     received = cloud.attach_sink(6)  # tenant 6 = server 1, local 2
     frame = cloud.send_between_tenants(0, 6, size_bytes=114)
     cloud.run()
     print(f"\ntenant 0 -> tenant 6: delivered={len(received)}")
     print("the frame's journey:")
-    for hop in frame.trace:
-        print(f"  {hop}")
+    print(journey_report(tracer.journey(frame.frame_id)))
     print(f"(encapsulated with the target's VNI on egress, decapped by "
           f"the remote ingress chain; fabric floods: {cloud.fabric.floods})")
 

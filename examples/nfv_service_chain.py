@@ -12,6 +12,7 @@ one packet actually took.
 Run:  python examples/nfv_service_chain.py
 """
 
+from repro import obs
 from repro.core import (
     DeploymentSpec,
     ResourceMode,
@@ -20,6 +21,7 @@ from repro.core import (
     build_deployment,
 )
 from repro.net import Frame, MacAddress
+from repro.obs.export import journey_report
 from repro.perfmodel.paths import throughput
 from repro.traffic import TestbedHarness
 from repro.units import MPPS, fmt_time
@@ -32,6 +34,7 @@ def build(level, **kwargs):
 
 def show_chain(deployment) -> None:
     """Trace one packet through the chain, hop by hop."""
+    tracer = obs.enable_tracing(deployment.sim)
     frame = Frame(
         src_mac=MacAddress.parse("02:1b:00:00:00:01"),
         dst_mac=deployment.ingress_dmac_for_tenant(0, 0),
@@ -43,8 +46,7 @@ def show_chain(deployment) -> None:
     deployment.external_ingress(0).receive(frame)
     deployment.sim.run(until=deployment.sim.now + 1.0)
     print(f"  chain for {deployment.spec.label}:")
-    for hop in frame.trace:
-        print(f"    {hop}")
+    print(journey_report(tracer.journey(frame.frame_id)))
 
 
 def measure(level, label, **kwargs) -> None:

@@ -289,7 +289,8 @@ def cmd_obs(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Cartesian sweep over deployment axes through the scenario engine."""
     from repro import obs
-    from repro.scenario import SweepGrid, build_grid, sweep_table, write_jsonl
+    from repro.obs.export import write_jsonl
+    from repro.scenario import SweepGrid, build_grid, sweep_rows, sweep_table
     faults = None
     if args.faults:
         import json
@@ -332,8 +333,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if efficacy:
         print(efficacy)
     if args.out:
-        with open(args.out, "w") as handle:
-            count = write_jsonl(handle, specs, results)
+        count = write_jsonl(sweep_rows(specs, results), args.out)
         print(f"wrote {count} points to {args.out}")
     return 0
 
@@ -539,66 +539,51 @@ def cmd_billing(args: argparse.Namespace) -> int:
     chaos_results = all_results[len(clean_specs):-1]
     churn_result = all_results[-1]
 
-    def split(result):
-        records = [UsageRecord.from_dict(u) for u in result.usage
-                   if u.get("kind") == "usage"]
-        summaries = [u for u in result.usage if u.get("kind") == "summary"]
-        return records, (summaries[0] if summaries else {})
-
-    invoices_by_label = {}
-    scores = {}
     failures = []
     all_records = []
     all_invoices = []
-    for result in clean_results:
-        records, summary = split(result)
+
+    def fold(result, label):
+        """Split one metered run's usage into records and its summary,
+        note a failed reconciliation, and collect the records and
+        invoices under ``label``; returns (invoices, summary)."""
+        records = [UsageRecord.from_dict(u) for u in result.usage
+                   if u.get("kind") == "usage"]
+        summaries = [u for u in result.usage if u.get("kind") == "summary"]
+        summary = summaries[0] if summaries else {}
+        if not summary.get("reconciled", False):
+            failures.append((label, summary.get("failures", ["no summary"])))
         invoices = invoices_from_records(records)
+        all_records.extend({"label": label, **rec.to_dict()}
+                           for rec in records)
+        all_invoices.extend({"label": label, **inv.to_dict()}
+                            for inv in invoices)
+        return invoices, summary
+
+    invoices_by_label = {}
+    scores = {}
+    for result in clean_results:
+        invoices, summary = fold(result, result.label)
         invoices_by_label[result.label] = invoices
         scores[result.label] = summary.get("misattribution_score", 0.0)
-        if not summary.get("reconciled", False):
-            failures.append((result.label, summary.get("failures", ["no summary"])))
-        for rec in records:
-            all_records.append({"label": result.label, **rec.to_dict()})
-        for inv in invoices:
-            all_invoices.append({"label": result.label, **inv.to_dict()})
-
     print(billing_report.cost_table(invoices_by_label).render())
     print()
     print(billing_report.misattribution_table(scores).render())
 
     payers_by_label = {}
     for result in chaos_results:
-        records, summary = split(result)
+        _, summary = fold(result, f"{result.label}+fault")
         payers_by_label[result.label] = summary.get("fault_payers", {})
-        scores[f"{result.label}+fault"] = summary.get(
-            "misattribution_score", 0.0)
-        if not summary.get("reconciled", False):
-            failures.append((f"{result.label}+fault",
-                             summary.get("failures", ["no summary"])))
-        for inv in invoices_from_records(records):
-            all_invoices.append({"label": f"{result.label}+fault",
-                                 **inv.to_dict()})
-        for rec in records:
-            all_records.append({"label": f"{result.label}+fault",
-                                **rec.to_dict()})
     print()
     print(billing_report.fault_payer_table(
         payers_by_label,
         title="Who pays for the compartment-0 crash? (resync seconds "
               "charged per tenant)").render())
 
-    records, summary = split(churn_result)
-    label = churn_result.label
-    churn_payers = {label: summary.get("fault_payers", {})}
-    if not summary.get("reconciled", False):
-        failures.append((label, summary.get("failures", ["no summary"])))
-    for rec in records:
-        all_records.append({"label": label, **rec.to_dict()})
-    for inv in invoices_from_records(records):
-        all_invoices.append({"label": label, **inv.to_dict()})
+    _, summary = fold(churn_result, churn_result.label)
     print()
     print(billing_report.fault_payer_table(
-        churn_payers,
+        {churn_result.label: summary.get("fault_payers", {})},
         title="Who pays for control-plane churn? (migration + autoscale "
               "re-sync seconds charged per tenant)").render())
 

@@ -55,14 +55,10 @@ class VhostPath:
 
     def _to_guest(self, frame: Frame) -> None:
         self.crossings += 1
-        frame.stamp(f"{self.name}.h2g")
-        frame.charge("vhost", self.costs.latency)
         self.sim.tracer.vhost(self.name, frame, "h2g", self.costs.latency)
         self.sim.call_later(self.costs.latency, self.guest_side.rx.receive, frame)
 
     def _to_host(self, frame: Frame) -> None:
         self.crossings += 1
-        frame.stamp(f"{self.name}.g2h")
-        frame.charge("vhost", self.costs.latency)
         self.sim.tracer.vhost(self.name, frame, "g2h", self.costs.latency)
         self.sim.call_later(self.costs.latency, self.host_side.rx.receive, frame)

@@ -109,7 +109,6 @@ class Link:
         tx_done = start + self.serialization_time(frame)
         self._busy_until = tx_done
         arrival = tx_done + self.propagation_delay
-        frame.charge("wire", arrival - t)
         self.tx_frames += 1
         self.tx_bytes += frame.wire_size()
         self.sim.schedule(arrival, self.dst.receive, frame)

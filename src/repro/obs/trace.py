@@ -3,9 +3,12 @@
 A frame's journey through the MTS chain (VM -> virtio/VF -> vswitch VM
 -> VF -> VEB -> wire, Fig. 3) is recorded as one :class:`Span` per hop:
 link enqueue/transmit, flow-table lookup (with hit/miss outcome and
-which cache layer answered), bridge pass, VEB forwarding decision, NIC
-filter verdict, vhost crossing, and every drop with its reason.  Spans
-carry the frame id as trace context (stable along a unicast journey;
+which cache layer answered), bridge pass (with its service, wait and
+queueing), NIC traversal, NIC filter verdict, vhost crossing, tenant
+forwarder pass, and every drop with its reason.  The spans of a frame
+through one server cover its whole time there: they are the only
+per-hop record, and the latency breakdown folds them.  Spans carry the
+frame id as trace context (stable along a unicast journey;
 :meth:`Frame.copy` on multicast fan-out starts a new trace) plus the
 tenant id, so journeys can be grouped per tenant.
 
@@ -96,6 +99,7 @@ class NullTracer:
     veb_forward = staticmethod(_noop)
     nic_filter = staticmethod(_noop)
     vhost = staticmethod(_noop)
+    tenant_forward = staticmethod(_noop)
     drop = staticmethod(_noop)
 
 
@@ -113,7 +117,7 @@ _T_BRIDGE_RX = 3
 _T_BRIDGE_TX = 4
 _T_VEB = 5
 _T_NIC_FILTER = 6
-_T_VHOST = 7
+_T_HOLD = 7
 _T_DROP = 8
 
 
@@ -192,12 +196,20 @@ class PacketTracer:
                             "plan_cache_hit" if cached else "pipeline",
                             tenant, {"in_port": port_no}))
             elif tag == _T_BRIDGE_TX:
-                _, fid, name, start, now, port_no, tenant = rec
+                _, fid, name, start, now, port_no, tenant, service, wait = rec
+                if start is None:  # an untimed pass
+                    start = now
+                # Anything beyond the pass's wait and service is rx-ring
+                # queueing.
                 append(Span(fid, seq, name, "vswitch.tx", start, now,
-                            "forwarded", tenant, {"out_port": port_no}))
+                            "forwarded", tenant,
+                            {"out_port": port_no, "service": service,
+                             "wait": wait,
+                             "queue": max(0.0, now - start - wait - service)}))
             elif tag == _T_VEB:
-                _, fid, name, now, ingress, vlan, decision, tenant = rec
-                append(Span(fid, seq, name, "veb.forward", now, now,
+                (_, fid, name, t_in, now, dma, ingress, vlan, decision,
+                 tenant) = rec
+                append(Span(fid, seq, name, "veb.forward", t_in, now + dma,
                             decision.reason, tenant,
                             {"ingress": ingress, "vlan": vlan,
                              "destinations": list(decision.destinations),
@@ -206,10 +218,10 @@ class PacketTracer:
                 _, fid, name, now, vf_name, verdict, tenant = rec
                 append(Span(fid, seq, name, "nic.filter", now, now,
                             verdict, tenant, {"vf": vf_name}))
-            elif tag == _T_VHOST:
-                _, fid, name, now, direction, latency, tenant = rec
-                append(Span(fid, seq, name, "vhost.crossing", now,
-                            now + latency, direction, tenant, None))
+            elif tag == _T_HOLD:
+                _, fid, name, kind, now, outcome, latency, tenant = rec
+                append(Span(fid, seq, name, kind, now, now + latency,
+                            outcome, tenant, None))
             else:  # _T_DROP
                 _, fid, name, now, reason, tenant = rec
                 append(Span(fid, seq, name, "drop", now, now,
@@ -266,25 +278,28 @@ class PacketTracer:
             self.spans_dropped += 1
 
     def bridge_tx(self, bridge_name: str, frame, port_no: int,
-                  t_rx: Optional[float] = None) -> None:
+                  t_dispatch: Optional[float] = None, service: float = 0.0,
+                  wait: float = 0.0) -> None:
+        """A bridge pass left on ``port_no``; a timed one spans from its
+        dispatch to a core, with its ``service`` and ``wait`` times."""
         if self._count < self.capacity:
             self._count += 1
-            now = self._sim._now
-            start = now if t_rx is None else t_rx
             self._raw.append((_T_BRIDGE_TX, frame.frame_id, bridge_name,
-                              start, now, port_no, frame.tenant_id))
+                              t_dispatch, self._sim._now, port_no,
+                              frame.tenant_id, service, wait))
         else:
             self.spans_dropped += 1
 
     def veb_forward(self, veb_name: str, frame, ingress: str, vlan: int,
-                    decision) -> None:
-        """The NIC's embedded switch decided egress for a frame.
-        ``decision`` is immutable after return, so its fields are read
-        lazily at materialization."""
+                    decision, t_in: float, dma: float = 0.0) -> None:
+        """The NIC's embedded switch decided egress for a frame; the span
+        is the NIC traversal, from entry at ``t_in`` to the end of the
+        ``dma`` into a receiving function.  ``decision`` is immutable
+        after return, so its fields are read lazily at materialization."""
         if self._count < self.capacity:
             self._count += 1
-            self._raw.append((_T_VEB, frame.frame_id, veb_name,
-                              self._sim._now, ingress, vlan, decision,
+            self._raw.append((_T_VEB, frame.frame_id, veb_name, t_in,
+                              self._sim._now, dma, ingress, vlan, decision,
                               frame.tenant_id))
         else:
             self.spans_dropped += 1
@@ -304,10 +319,19 @@ class PacketTracer:
 
     def vhost(self, name: str, frame, direction: str,
               latency: float) -> None:
+        self._hold(name, frame, "vhost.crossing", direction, latency)
+
+    def tenant_forward(self, name: str, frame, latency: float) -> None:
+        """A tenant's forwarder (l2fwd, Linux bridge) holds the frame
+        for ``latency`` before bouncing it back out."""
+        self._hold(name, frame, "tenant.forward", "forwarded", latency)
+
+    def _hold(self, name: str, frame, kind: str, outcome: str,
+              latency: float) -> None:
         if self._count < self.capacity:
             self._count += 1
-            self._raw.append((_T_VHOST, frame.frame_id, name,
-                              self._sim._now, direction, latency,
+            self._raw.append((_T_HOLD, frame.frame_id, name, kind,
+                              self._sim._now, outcome, latency,
                               frame.tenant_id))
         else:
             self.spans_dropped += 1
@@ -339,14 +363,6 @@ class PacketTracer:
         spans = [s for s in self.spans if s.trace_id == trace_id]
         spans.sort(key=lambda s: (s.start, s.seq))
         return spans
-
-    def breakdown(self, trace_id: int) -> Dict[str, float]:
-        """Per-stage latency of one frame: summed span durations keyed by
-        span kind (instantaneous decision spans contribute 0)."""
-        totals: Dict[str, float] = {}
-        for span in self.journey(trace_id):
-            totals[span.kind] = totals.get(span.kind, 0.0) + span.duration
-        return totals
 
     def drops(self) -> List[Span]:
         return [s for s in self.spans

@@ -38,8 +38,8 @@ from repro.scenario.store import DEFAULT_STORE_DIR, NullStore, ResultStore
 from repro.scenario.sweep import (
     SweepGrid,
     build_grid,
+    sweep_rows,
     sweep_table,
-    write_jsonl,
 )
 
 __all__ = [
@@ -63,6 +63,6 @@ __all__ = [
     "ResultStore",
     "SweepGrid",
     "build_grid",
+    "sweep_rows",
     "sweep_table",
-    "write_jsonl",
 ]

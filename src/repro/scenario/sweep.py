@@ -17,10 +17,9 @@ run.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import product
-from typing import IO, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from repro.core.levels import ResourceMode, SecurityLevel
 from repro.core.spec import DeploymentSpec, TrafficScenario
@@ -169,14 +168,17 @@ def sweep_table(grid: SweepGrid, specs: Sequence[ScenarioSpec],
     return table
 
 
-def write_jsonl(handle: IO[str], specs: Sequence[ScenarioSpec],
-                results: Sequence[ScenarioResult]) -> int:
-    """One self-describing JSON line per point; returns the count."""
+def sweep_rows(specs: Sequence[ScenarioSpec],
+               results: Sequence[ScenarioResult]) -> Iterator[dict]:
+    """One self-describing record per point.  The result's wall-clock
+    ``elapsed`` is left out, so two runs of one grid write identical
+    rows."""
     for spec, result in zip(specs, results):
-        handle.write(json.dumps({
+        row = result.to_dict()
+        del row["elapsed"]
+        yield {
             "spec": spec.to_dict(),
             "spec_hash": spec.content_hash(),
-            "result": result.to_dict(),
+            "result": row,
             "result_hash": result.result_hash(),
-        }, sort_keys=True) + "\n")
-    return len(results)
+        }

@@ -74,11 +74,6 @@ class NicPort:
         self.index = index
         #: Hop label, hoisted: built once instead of per packet.
         self._label = f"nic.p{index}"
-        self._fabric_in_stamp = f"nic.p{index}.fabric.in"
-        self._fabric_out_stamp = f"nic.p{index}.fabric.out"
-        #: Per-function stamp labels, built on first use.
-        self._in_stamps: Dict[str, str] = {}
-        self._out_stamps: Dict[str, str] = {}
         self.veb = VebSwitch(name=f"veb{index}")
         self.pf = VirtualFunction(index=-1, pf_index=index, kind=FunctionKind.PF,
                                   attached_to="host")
@@ -184,18 +179,6 @@ class NicPort:
 
     # -- dataplane ---------------------------------------------------------
 
-    def _in_stamp(self, name: str) -> str:
-        label = self._in_stamps.get(name)
-        if label is None:
-            label = self._in_stamps[name] = f"nic.p{self.index}.{name}.in"
-        return label
-
-    def _out_stamp(self, name: str) -> str:
-        label = self._out_stamps.get(name)
-        if label is None:
-            label = self._out_stamps[name] = f"nic.p{self.index}.{name}.out"
-        return label
-
     def _receive_from_vf(self, vf: VirtualFunction, frame: Frame) -> None:
         """VM transmitted on its VF: security chain, then switch."""
         vf.stats.tx_frames += 1
@@ -222,13 +205,11 @@ class NicPort:
             self._reject(vf, frame, "filter_drop", "nic_filtered")
             return
         sim.tracer.nic_filter(self._label, vf.name, frame, "pass")
-        frame.stamp(self._in_stamp(vf.name))
         domain = self.veb.domain_of(vf)
         # VM -> NIC DMA has already been paid conceptually by the VM's
         # transmit; we charge the crossing once here (ingress direction).
         delay = self._dma(frame) + VEB_LATENCY
-        frame.charge("nic", delay)
-        sim.call_later(delay, self._switch, vf.name, domain, frame)
+        sim.call_later(delay, self._switch, vf.name, domain, frame, sim.now)
 
     def _reject(self, vf: VirtualFunction, frame: Frame, verdict: str,
                 reason: str) -> None:
@@ -249,17 +230,25 @@ class NicPort:
 
     def _receive_from_fabric(self, frame: Frame) -> None:
         """Frame arrived from the wire."""
-        frame.stamp(self._fabric_in_stamp)
         domain = frame.vlan if frame.vlan is not None else UNTAGGED
-        frame.charge("nic", VEB_LATENCY)
-        self.nic.sim.call_later(VEB_LATENCY, self._switch, UPLINK, domain, frame)
+        sim = self.nic.sim
+        sim.call_later(VEB_LATENCY, self._switch, UPLINK, domain, frame,
+                       sim.now)
 
-    def _switch(self, ingress: str, domain: int, frame: Frame) -> None:
+    def _switch(self, ingress: str, domain: int, frame: Frame,
+                t_in: float) -> None:
+        """VEB decision for a frame that entered the NIC at ``t_in``."""
         sim = self.nic.sim
         decision = self.veb.forward(ingress, domain, frame, now=sim.now)
+        dests = decision.destinations
+        # A sole receiving function keeps the frame (and its trace), so
+        # the NIC traversal ends with the DMA into its memory.
+        sole = len(dests) == 1 and dests[0] != UPLINK
+        dma = (self._to_function(self._functions[dests[0]], frame)
+               if sole else 0.0)
         sim.tracer.veb_forward(self.veb.name, frame, ingress, domain,
-                               decision)
-        if not decision.destinations:
+                               decision, t_in, dma)
+        if not dests:
             self.drops.no_destination += 1
             sim.tracer.drop(self._label, frame,
                             "no_destination" if decision.reason != "hairpin"
@@ -268,8 +257,10 @@ class NicPort:
                 sim.meter.drop(frame.tenant_id, "nic_no_destination")
             return
         self.frames_switched += 1
-        for dest in decision.destinations:
-            out = frame if len(decision.destinations) == 1 else frame.copy()
+        if sole:
+            return
+        for dest in dests:
+            out = frame if len(dests) == 1 else frame.copy()
             if dest == UPLINK:
                 self._to_fabric(domain, out)
             else:
@@ -286,19 +277,18 @@ class NicPort:
             frame.push_vlan(domain)
         elif domain == UNTAGGED and frame.vlan is not None:
             frame.pop_vlan()
-        frame.stamp(self._fabric_out_stamp)
         self.fabric_link.send(frame)
 
-    def _to_function(self, func: VirtualFunction, frame: Frame) -> None:
-        """Deliver to the VM behind a VF/PF (access egress: tag popped)."""
+    def _to_function(self, func: VirtualFunction, frame: Frame) -> float:
+        """Deliver to the VM behind a VF/PF (access egress: tag popped);
+        returns the DMA delay."""
         if frame.vlan is not None:
             frame.pop_vlan()
         func.stats.rx_frames += 1
         func.stats.rx_bytes += frame.wire_size()
-        frame.stamp(self._out_stamp(func.name))
         delay = self._dma(frame)
-        frame.charge("nic", delay)
         self.nic.sim.call_later(delay, func.port.rx.receive, frame)
+        return delay
 
     # -- batched dataplane -------------------------------------------------
     #
@@ -307,9 +297,8 @@ class NicPort:
     # same size), so they are computed once and the member timestamps
     # advanced analytically.  No events are scheduled -- the batch flows
     # inline to the next timestamped admission point (bridge rx ring) or
-    # to the fabric link.  Runs only with tracing off; per-frame hop
-    # stamps and latency charges are not maintained (the per-frame
-    # oracle remains the reference for those).
+    # to the fabric link.  Runs only with tracing off, so the per-hop
+    # spans come from the per-frame path.
 
     def _receive_from_vf_batch(self, vf: VirtualFunction,
                                batch: FrameBatch) -> None:

@@ -297,14 +297,16 @@ class FlowTable:
 
     # -- lookup ------------------------------------------------------------
 
-    def lookup(self, frame: Frame, in_port: int,
-               tracer=NULL_TRACER) -> Optional[FlowRule]:
+    def lookup(self, frame: Frame, in_port: int, tracer=NULL_TRACER,
+               key: Optional[tuple] = None) -> Optional[FlowRule]:
         """Highest-priority matching rule, updating its counters.
         ``tracer`` is the owning bridge's (a standalone table traces
-        nothing)."""
+        nothing); ``key``, when given, is the frame's
+        :func:`emc_signature` on ``in_port``, already built."""
         self.lookups += 1
         if self.fastpath:
-            key = emc_signature(frame, in_port)
+            if key is None:
+                key = emc_signature(frame, in_port)
             rule = self._emc.get(key, _ABSENT)
             if rule is not _ABSENT:
                 self.emc_stats.hits += 1

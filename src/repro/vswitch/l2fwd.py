@@ -68,8 +68,6 @@ class L2Fwd:
         self.epoch = 0
         self.forwarded = 0
         self.unrouted = 0
-        self._rx_stamp = f"{name}.rx"
-        self._tx_stamp = f"{name}.tx"
 
     def add_port(self, pair: PortPair) -> int:
         index = len(self._ports)
@@ -89,7 +87,6 @@ class L2Fwd:
         self.epoch += 1
 
     def _ingress(self, in_index: int, frame: Frame) -> None:
-        frame.stamp(self._rx_stamp)
         route = self._routes.get(in_index)
         if route is None:
             self.unrouted += 1
@@ -97,8 +94,8 @@ class L2Fwd:
         delay = L2FWD_CYCLES / self.freq_hz
         delay += self.drain_interval * self._jitter.unit(
             frame.frame_id, HashJitter.SITE_L2FWD_DRAIN)
-        frame.charge("tenant", delay)
         if self.sim is not None:
+            self.sim.tracer.tenant_forward(self.name, frame, delay)
             self.sim.call_later(delay, self._forward, route, frame)
         else:
             self._forward(route, frame)
@@ -108,7 +105,6 @@ class L2Fwd:
         if route.new_src_mac is not None:
             frame.src_mac = route.new_src_mac
         self.forwarded += 1
-        frame.stamp(self._tx_stamp)
         self._ports[route.out_index].transmit(frame)
 
     def _ingress_batch(self, in_index: int, batch: FrameBatch) -> None:

@@ -52,12 +52,11 @@ class LinuxBridge:
         return index
 
     def _ingress(self, in_index: int, frame: Frame) -> None:
-        frame.stamp(f"{self.name}.rx")
         if not frame.src_mac.is_multicast:
             self._mac_table[frame.src_mac] = in_index
         delay = LINUX_BRIDGE_LATENCY + LINUX_BRIDGE_CYCLES / self.freq_hz
-        frame.charge("tenant", delay)
         if self.sim is not None:
+            self.sim.tracer.tenant_forward(self.name, frame, delay)
             self.sim.call_later(delay, self._forward, in_index, frame)
         else:
             self._forward(in_index, frame)
@@ -73,6 +72,5 @@ class LinuxBridge:
             outs = [hit]
         self.forwarded += 1
         for i, out in enumerate(outs):
-            out_frame = frame if i == len(outs) - 1 else frame.copy()
-            out_frame.stamp(f"{self.name}.tx")
-            self._ports[out].transmit(out_frame)
+            self._ports[out].transmit(
+                frame if i == len(outs) - 1 else frame.copy())

@@ -3,6 +3,7 @@ and the NIC's enforcement, all at packet level through the DES."""
 
 import pytest
 
+from repro import obs
 from repro.core import (
     ResourceMode,
     SecurityLevel,
@@ -17,7 +18,10 @@ LG_MAC = MacAddress.parse("02:1b:00:00:00:01")
 
 
 def run_one_frame(deployment, tenant=0):
-    """Inject one frame for a tenant and run the sim to completion."""
+    """Inject one frame for a tenant and run the sim to completion.
+    The run is traced, so :func:`journey` lists the frame's hops."""
+    if not deployment.sim.tracer.enabled:
+        obs.enable_tracing(deployment.sim)
     frame = Frame(
         src_mac=LG_MAC,
         dst_mac=deployment.ingress_dmac_for_tenant(tenant, 0),
@@ -31,25 +35,52 @@ def run_one_frame(deployment, tenant=0):
     return frame
 
 
+def journey(deployment, frame):
+    """The frame's traced hops, in causal order."""
+    return deployment.sim.tracer.journey(frame.frame_id)
+
+
+def visits_in_order(spans, *stations):
+    """True when every ``(component, kind)`` station appears in the
+    journey, each after the one before it."""
+    hops = [(s.component, s.kind) for s in spans]
+    at = 0
+    for station in stations:
+        if station not in hops[at:]:
+            return False
+        at = hops.index(station, at) + 1
+    return True
+
+
+TENANT = "tenant.forward"
+
+
 class TestIngressEgressChains:
-    """The step-by-step chains of Fig. 3, asserted on frame traces."""
+    """The step-by-step chains of Fig. 3, asserted on traced journeys."""
 
     def test_p2v_chain_visits_every_station(self):
         d = build_deployment(make_spec(level=SecurityLevel.LEVEL_1),
                              TrafficScenario.P2V)
         h = TestbedHarness(d)
         frame = run_one_frame(d)
-        trace = frame.trace
+        spans = journey(d, frame)
         # (1)-(2) in through the NIC to the vswitch's In/Out VF
-        assert trace[0] == "nic.p0.fabric.in"
-        assert any("pf0vf0.out" in t for t in trace)  # In/Out VF delivery
-        # (3) the vswitch forwards to the gateway VF
-        assert any(t.startswith("vsw0.br0") and t.endswith("rx") for t in trace)
-        # (4)-(5) NIC delivers to the tenant VF; tenant l2fwd bounces it
-        assert any("tenant0.l2fwd.rx" == t for t in trace)
-        assert any("tenant0.l2fwd.tx" == t for t in trace)
+        first = spans[0]
+        assert (first.component, first.kind) == ("veb0", "veb.forward")
+        assert first.attrs["ingress"] == "uplink"
+        assert first.attrs["destinations"] == ["pf0vf0"]  # In/Out VF
+        # (3) the vswitch forwards to the gateway VF; (4)-(5) NIC
+        # delivers to the tenant VF and the tenant's l2fwd bounces it
+        assert visits_in_order(spans, ("vsw0.br0", "vswitch.rx"),
+                               ("vsw0.br0", "vswitch.tx"),
+                               ("tenant0.l2fwd", TENANT))
+        assert d.tenant_vms[0].app("l2fwd").forwarded == 1
         # (6)-(10) egress through port 1 to the wire
-        assert trace[-1] == "nic.p1.fabric.out"
+        egress = spans[-2]
+        assert (egress.component, egress.kind) == ("veb1", "veb.forward")
+        assert egress.attrs["destinations"] == ["uplink"]
+        assert (spans[-1].component, spans[-1].kind) == (
+            "link.dut-sink", "link.tx")
         assert h.sink.total == 1
 
     def test_p2v_frame_delivered_to_sink_with_external_gw_mac(self):
@@ -86,7 +117,10 @@ class TestIngressEgressChains:
         h = TestbedHarness(d)
         frame = run_one_frame(d)
         assert h.sink.total == 1
-        assert not any("l2fwd" in t for t in frame.trace)
+        spans = journey(d, frame)
+        assert visits_in_order(spans, ("vsw0.br0", "vswitch.tx"),
+                               ("link.dut-sink", "link.tx"))
+        assert not any(s.kind == TENANT for s in spans)
 
     def test_v2v_chains_two_tenants(self):
         d = build_deployment(make_spec(level=SecurityLevel.LEVEL_1),
@@ -94,8 +128,9 @@ class TestIngressEgressChains:
         h = TestbedHarness(d)
         frame = run_one_frame(d, tenant=0)
         assert h.sink.total == 1
-        assert any("tenant0.l2fwd.rx" == t for t in frame.trace)
-        assert any("tenant1.l2fwd.rx" == t for t in frame.trace)
+        assert visits_in_order(journey(d, frame),
+                               ("tenant0.l2fwd", TENANT),
+                               ("tenant1.l2fwd", TENANT))
 
     def test_all_four_tenants_reachable(self):
         d = build_deployment(make_spec(level=SecurityLevel.LEVEL_2, vms=2),
@@ -111,9 +146,12 @@ class TestIngressEgressChains:
         h = TestbedHarness(d)
         frame = run_one_frame(d)
         assert h.sink.total == 1
-        assert any("vhost-t0-0.h2g" == t for t in frame.trace)
-        assert any("tenant0.br0.rx" == t for t in frame.trace)
-        assert any("vhost-t0-1.g2h" == t for t in frame.trace)
+        spans = journey(d, frame)
+        assert visits_in_order(spans, ("vhost-t0-0", "vhost.crossing"),
+                               ("tenant0.br0", TENANT),
+                               ("vhost-t0-1", "vhost.crossing"))
+        assert [s.outcome for s in spans if s.kind == "vhost.crossing"] == [
+            "h2g", "g2h"]
 
     def test_baseline_v2v(self):
         d = build_deployment(make_spec(level=SecurityLevel.BASELINE),
@@ -121,8 +159,8 @@ class TestIngressEgressChains:
         h = TestbedHarness(d)
         frame = run_one_frame(d, tenant=2)
         assert h.sink.total == 1
-        assert any("tenant2.br0" in t for t in frame.trace)
-        assert any("tenant3.br0" in t for t in frame.trace)
+        assert visits_in_order(journey(d, frame), ("tenant2.br0", TENANT),
+                               ("tenant3.br0", TENANT))
 
 
 class TestCompleteMediation:
@@ -133,14 +171,19 @@ class TestCompleteMediation:
                              TrafficScenario.P2V)
         TestbedHarness(d)
         frame = run_one_frame(d)
-        stations = [t for t in frame.trace if t.startswith(("nic.", "vsw", "tenant"))]
+        nic_kinds = ("veb.forward", "nic.filter")
+        stations = [s for s in journey(d, frame)
+                    if s.kind in nic_kinds or s.kind == TENANT
+                    or s.component.startswith("vsw")]
         # Between any vswitch hop and tenant hop there must be NIC hops.
-        tenant_idx = [i for i, t in enumerate(stations) if t.startswith("tenant")]
-        vsw_idx = [i for i, t in enumerate(stations) if t.startswith("vsw")]
+        tenant_idx = [i for i, s in enumerate(stations) if s.kind == TENANT]
+        vsw_idx = [i for i, s in enumerate(stations)
+                   if s.component.startswith("vsw")]
+        assert tenant_idx and vsw_idx
         for ti in tenant_idx:
             for vi in vsw_idx:
                 low, high = min(ti, vi), max(ti, vi)
-                assert any(stations[i].startswith("nic.")
+                assert any(stations[i].kind in nic_kinds
                            for i in range(low + 1, high)), (
                     "tenant and vswitch adjacent without NIC mediation")
 

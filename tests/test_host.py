@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.errors import ConfigurationError, CoreExhaustedError, MemoryExhaustedError
 from repro.host import HostMemory, Hypervisor, Server, VhostPath, Vm, VmRole, VmSpec
 from repro.host.cpu import CorePool
@@ -182,9 +183,13 @@ class TestVhostPath:
 
     def test_frames_stamped(self):
         sim = Simulator()
+        tracer = obs.enable_tracing(sim)
         path = VhostPath(sim, "vh0")
         path.guest_side.rx.connect(lambda f: None)
         f = Frame(src_mac=MacAddress(1), dst_mac=MacAddress(2))
         path.host_side.transmit(f)
         sim.run()
-        assert "vh0.h2g" in f.trace
+        [span] = tracer.journey(f.frame_id)
+        assert (span.component, span.kind, span.outcome) == (
+            "vh0", "vhost.crossing", "h2g")
+        assert span.duration == pytest.approx(path.costs.latency)

@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.core import ResourceMode, SecurityLevel, TrafficScenario
+from repro import obs
+from repro.core import (ResourceMode, SecurityLevel, TrafficScenario,
+                        build_deployment)
 from repro.core.spec import DeploymentSpec
-from repro.experiments.latency_breakdown import measure_breakdown
+from repro.experiments.latency_breakdown import (COMPONENTS,
+                                                 frame_components,
+                                                 measure_breakdown)
+from repro.traffic import TestbedHarness
 from repro.units import USEC
 
 DURATION = 0.06
@@ -21,7 +26,46 @@ def breakdown(level, vms=1, mode=ResourceMode.SHARED,
     return _memo[key]
 
 
+def traced_p2v_run(level, vms=1):
+    """One traced p2v run; returns the harness, its per-frame span
+    components and, per frame seen on both taps, ``(created_at, t_in,
+    t_out, frame)``."""
+    d = build_deployment(DeploymentSpec(level=level, num_vswitch_vms=vms),
+                         TrafficScenario.P2V)
+    tracer = obs.enable_tracing(d.sim)
+    h = TestbedHarness(d)
+    h.configure_tenant_flows(rate_per_flow_pps=2500)
+    t_in = {}
+    seen = {}
+    h.ingress_tap.observe(
+        lambda f, now: t_in.setdefault(f.frame_id, (f.created_at, now)))
+    h.egress_tap.observe(
+        lambda f, now: seen.setdefault(f.frame_id,
+                                       (*t_in[f.frame_id], now, f)))
+    h.run(duration=DURATION, warmup=0.02)
+    assert tracer.spans_dropped == 0
+    return h, frame_components(tracer.spans), seen
+
+
 class TestAccountingIntegrity:
+    @pytest.mark.parametrize("level", [SecurityLevel.LEVEL_1,
+                                       SecurityLevel.BASELINE])
+    def test_components_sum_to_each_frames_tap_to_tap_latency(self, level):
+        """Per delivered frame, the spans leave no gap and count nothing
+        twice: the components sum to the tap-to-tap latency plus the two
+        wire edges the taps (at transmit start) cannot see -- ingress
+        queueing before the ingress tap, and the egress link's
+        serialization and propagation after the egress tap."""
+        h, parts, seen = traced_p2v_run(level)
+        link = h.egress_link
+        assert len(seen) == h.sink.total > 100
+        for frame_id, (created, t_in, t_out, frame) in seen.items():
+            edges = ((t_in - created) + link.serialization_time(frame)
+                     + link.propagation_delay)
+            assert set(parts[frame_id]) <= set(COMPONENTS)
+            assert sum(parts[frame_id].values()) == pytest.approx(
+                (t_out - t_in) + edges, rel=1e-9)
+
     @pytest.mark.parametrize("level,vms", [
         (SecurityLevel.BASELINE, 1),
         (SecurityLevel.LEVEL_1, 1),
@@ -30,8 +74,6 @@ class TestAccountingIntegrity:
     def test_components_sum_to_measured_latency(self, level, vms):
         """The breakdown must account for (almost) the whole end-to-end
         latency the DAG-style monitor measures."""
-        from repro.traffic import TestbedHarness
-        from repro.core import build_deployment
         spec = DeploymentSpec(level=level, num_vswitch_vms=vms)
         d = build_deployment(spec, TrafficScenario.P2V)
         h = TestbedHarness(d)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.core import DeploymentSpec, ResourceMode, SecurityLevel
 from repro.core.multiserver import MultiServerCloud
 from repro.errors import ConfigurationError, ValidationError
@@ -124,13 +125,17 @@ class TestInterServerDataplane:
         """Tenant 0 (server 0) -> tenant 6 (server 1), through both
         vswitches and the leaf."""
         c = cloud()
+        tracer = obs.enable_tracing(c.sim)
         received = c.attach_sink(6)
         frame = c.send_between_tenants(0, 6)
         c.run()
         assert len(received) == 1
-        trace = " ".join(frame.trace)
-        assert "leaf0" in trace            # crossed the fabric
-        assert "vsw0.br0" in trace         # source server's compartment
+        hops = [(s.component, s.kind) for s in tracer.journey(frame.frame_id)]
+        # source server's compartment, then across the leaf
+        assert hops.index(("vsw0.br0", "vswitch.tx")) < hops.index(
+            ("uplink.s0", "link.tx")) < hops.index(("downlink.s1", "link.tx"))
+        assert c.fabric.ports[0].rx_frames == 1
+        assert c.fabric.ports[1].tx_frames == 1
 
     def test_reverse_direction(self):
         c = cloud()

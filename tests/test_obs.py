@@ -143,7 +143,8 @@ class TestNullTracer:
         assert tracer.enabled is False
         hooks = [tracer.link_send, tracer.flow_lookup,
                  tracer.bridge_rx, tracer.bridge_tx, tracer.veb_forward,
-                 tracer.nic_filter, tracer.vhost, tracer.drop]
+                 tracer.nic_filter, tracer.vhost, tracer.tenant_forward,
+                 tracer.drop]
         assert len({id(h) for h in hooks}) == 1
         assert tracer.drop("c", _FakeFrame(), "reason") is None
 
@@ -171,6 +172,48 @@ class TestPacketTracer:
             "vswitch.rx", "flowtable.lookup", "vswitch.tx"]
         assert [s.seq for s in journey] == sorted(s.seq for s in journey)
         assert all(s.start == 1.5 for s in journey)
+
+    def test_timed_bridge_pass_spans_dispatch_to_egress(self):
+        # Dispatched at 1.0, left at 1.5: 0.1 s waited, 0.3 s served,
+        # the rest queued in the rx ring.
+        tracer = PacketTracer(_sim_at(1.5))
+        tracer.bridge_tx("br0", _FakeFrame(frame_id=4), 2, 1.0, 0.3, 0.1)
+        [span] = tracer.spans
+        assert (span.start, span.end) == (1.0, 1.5)
+        assert span.attrs["service"] == 0.3
+        assert span.attrs["wait"] == 0.1
+        assert span.attrs["queue"] == max(0.0, (1.5 - 1.0) - 0.1 - 0.3)
+        assert span.attrs["out_port"] == 2
+
+    def test_untimed_bridge_pass_is_instantaneous(self):
+        tracer = PacketTracer(_sim_at(1.5))
+        tracer.bridge_tx("br0", _FakeFrame(), 2)
+        [span] = tracer.spans
+        assert (span.start, span.end) == (1.5, 1.5)
+        assert span.attrs == {"out_port": 2, "service": 0.0, "wait": 0.0,
+                              "queue": 0.0}
+
+    def test_veb_span_is_the_nic_traversal(self):
+        # Entered the NIC at 1.0, decided at 1.5, then 0.25 s of DMA
+        # into the receiving function.
+        from repro.sriov.switch import ForwardingDecision
+        tracer = PacketTracer(_sim_at(1.5))
+        decision = ForwardingDecision(destinations=["pf0vf1"],
+                                      reason="hit")
+        tracer.veb_forward("veb0", _FakeFrame(), "uplink", 0, decision,
+                           1.0, 0.25)
+        [span] = tracer.spans
+        assert (span.kind, span.start, span.end) == (
+            "veb.forward", 1.0, 1.75)
+        assert span.attrs["destinations"] == ["pf0vf1"]
+
+    def test_tenant_forward_span(self):
+        tracer = PacketTracer(_sim_at(2.0))
+        tracer.tenant_forward("tenant0.l2fwd", _FakeFrame(frame_id=5), 0.5)
+        [span] = tracer.journey(5)
+        assert (span.component, span.kind, span.outcome) == (
+            "tenant0.l2fwd", "tenant.forward", "forwarded")
+        assert (span.start, span.end) == (2.0, 2.5)
 
     def test_drop_reason_recorded(self):
         tracer = PacketTracer(Simulator())
@@ -265,20 +308,27 @@ class TestEndToEndJourney:
         assert positions == sorted(positions), (
             f"chain hops out of order: {hops}")
 
+        # One tenant-forwarder pass per p2v journey, between the NIC
+        # hops into and out of the tenant.
+        kinds = [s.kind for s in spans]
+        assert kinds.count("tenant.forward") == 1
+        assert kinds.index("nic.filter") < kinds.index("tenant.forward")
+
         starts = [s.start for s in spans]
         assert starts == sorted(starts)
         assert all(s.end >= s.start for s in spans)
 
     def test_breakdown_matches_frame_wire_accounting(self, tmp_path):
+        from repro.experiments.latency_breakdown import frame_components
         deployment, tracer, result, path = _traced_l2_run(tmp_path)
         trace_id = tracer.trace_ids()[0]
-        breakdown = tracer.breakdown(trace_id)
-        # Per-stage latency breakdown exists and the wire component is
-        # the serialization+propagation the links actually charged.
-        assert breakdown.get("link.tx", 0.0) > 0.0
+        parts = frame_components(tracer.spans)[trace_id]
+        # Per-component latency breakdown exists and the wire component
+        # is the serialization+propagation the links actually charged.
+        assert parts["wire"] > 0.0
         journey = tracer.journey(trace_id)
         elapsed = journey[-1].end - journey[0].start
-        assert sum(breakdown.values()) <= elapsed + 1e-12
+        assert sum(parts.values()) <= elapsed + 1e-12
 
     def test_tenants_separate_in_summary_tables(self, tmp_path):
         from repro.obs.export import tenant_hop_table, tenant_latency_table
@@ -303,6 +353,59 @@ class TestEndToEndJourney:
         snap = obs.REGISTRY.snapshot()
         assert snap.get('cache_lookups_total{cache="plan"}', 0) > 0
         assert snap.get('cache_lookups_total{cache="veb_memo"}', 0) > 0
+
+
+class TestTenantForwarders:
+    """The l2fwd and Linux-bridge forwarders record one span per pass
+    on their simulator's tracer; without a simulator they trace
+    nothing and forward synchronously."""
+
+    @staticmethod
+    def _forwarders(sim):
+        """An l2fwd and a Linux bridge, two ports each; returns
+        ``(apps, out)`` where ``out`` collects what they transmit."""
+        from repro.net.addresses import MacAddress
+        from repro.net.interfaces import PortPair
+        from repro.vswitch.l2fwd import L2Fwd
+        from repro.vswitch.linux_bridge import LinuxBridge
+        out = []
+        apps = [L2Fwd("tenant0.l2fwd", sim=sim),
+                LinuxBridge("tenant1.br0", sim=sim)]
+        for app in apps:
+            for i in range(2):
+                pair = PortPair(f"{app.name}.p{i}")
+                pair.attach_tx(out.append)
+                app.add_port(pair)
+        apps[0].set_route(0, 1, MacAddress(9))
+        return apps, out
+
+    @staticmethod
+    def _frame():
+        from repro.net import Frame, MacAddress
+        return Frame(src_mac=MacAddress(1), dst_mac=MacAddress(2),
+                     tenant_id=0)
+
+    def test_one_span_per_pass(self):
+        sim = Simulator()
+        tracer = obs.enable_tracing(sim)
+        apps, out = self._forwarders(sim)
+        for app in apps:
+            frame = self._frame()
+            app._ports[0].rx.receive(frame)
+            sim.run()
+            [span] = tracer.journey(frame.frame_id)
+            assert (span.component, span.kind) == (app.name,
+                                                   "tenant.forward")
+            assert span.duration > 0
+        assert len(out) == 2  # both forwarded
+
+    def test_sim_less_forwarders_trace_nothing(self):
+        tracer = obs.enable_tracing(Simulator())
+        apps, out = self._forwarders(None)
+        for app in apps:
+            app._ports[0].rx.receive(self._frame())
+        assert len(out) == 2  # forwarded synchronously
+        assert len(tracer) == 0
 
 
 class TestDisabledOverheadPath:

@@ -53,18 +53,18 @@ class TestSize:
 
 
 class TestTraceAndCopy:
-    def test_stamp_appends(self):
-        f = frame()
-        f.stamp("a")
-        f.stamp("b")
-        assert f.trace == ["a", "b"]
+    def test_slots_hold_no_hop_record(self):
+        # Hops and latency charges live on the simulator's tracer, keyed
+        # by frame id; a frame carries no per-hop state of its own.
+        assert "trace" not in Frame.__slots__
+        assert "timings" not in Frame.__slots__
+        assert not hasattr(frame(), "__dict__")
 
     def test_copy_gets_fresh_identity_and_empty_trace(self):
+        # A fresh frame id starts a new trace on the tracer.
         f = frame(vlan=7, flow_id=3, tenant_id=1)
-        f.stamp("hop")
         c = f.copy()
         assert c.frame_id != f.frame_id
-        assert c.trace == []
         assert c.vlan == 7
         assert c.flow_id == 3
         assert c.tenant_id == 1

@@ -50,6 +50,13 @@ class TestSweepCommand:
         assert "2 points: 2 computed, 0 cached" in out
         assert not any(l["result"]["cached"] for l in lines)
 
+    def test_no_cache_runs_write_identical_files(self, tmp_path, capsys):
+        first = tmp_path / "first.jsonl"
+        run_sweep(tmp_path, capsys, "--no-cache")
+        os.replace(tmp_path / "sweep.jsonl", first)
+        run_sweep(tmp_path, capsys, "--no-cache")
+        assert first.read_bytes() == (tmp_path / "sweep.jsonl").read_bytes()
+
     def test_seed_changes_results(self, tmp_path, capsys):
         _, _, base = run_sweep(tmp_path, capsys)
         _, _, other = run_sweep(tmp_path, capsys, "--seed", "5")
